@@ -161,10 +161,19 @@ def _cmd_matricize(args) -> int:
     return EXIT_OK
 
 
+def _square_diagnostics(x: SquareTensor) -> tuple[float, float]:
+    # Symmetry residual and smallest eigenvalue of the symmetric part.
+    m = matricize(x)
+    return float(np.abs(m - m.T).max()), float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+
+
 def _cmd_estimate(args) -> int:
     samples = _read_samples(args.input)
+    diagnostics = None
     if args.kind == "cov":
-        result = covariance(samples, args.normalization).value
+        cov = covariance(samples, args.normalization)
+        result = cov.value
+        diagnostics = (cov.symmetry_residual, cov.min_eigenvalue)
     elif args.kind == "corr":
         result = correlation(samples).value
     else:
@@ -172,9 +181,7 @@ def _cmd_estimate(args) -> int:
         result = cross_covariance(samples, other, args.normalization).value
     write_tensor(args.output, result, binary=_binary_output(args.output, args.binary))
     if isinstance(result, SquareTensor):
-        m = matricize(result)
-        sym_residual = float(np.abs(m - m.T).max())
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+        sym_residual, min_eig = diagnostics or _square_diagnostics(result)
         print(f"shape: {result.row_shape}x{result.row_shape}")
         print(f"symmetry residual: {sym_residual:.3e}")
         print(f"min matricized eigenvalue: {_fmt(min_eig)}")

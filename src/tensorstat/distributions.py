@@ -324,10 +324,6 @@ def _deviation(p, x: DenseTensor) -> np.ndarray:
     return vec(x) - vec(p.location)
 
 
-def _unvec(row: np.ndarray, shape: Shape) -> DenseTensor:
-    return DenseTensor._wrap(row.reshape(shape.dims, order="F"), shape)
-
-
 def normal_log_density(p: TensorNormalParams, x: DenseTensor) -> float:
     """Log-density of the tensor normal at ``x``.
 
@@ -385,8 +381,7 @@ def normal_sample(p: TensorNormalParams, seed: RngSeed, count: int) -> SampleSet
     rng = seed.generator()
     z = rng.standard_normal((count, p.nstar))
     rows = vec(p.location) + z @ p.chol.lower.T
-    obs = tuple(_unvec(row, p.shape) for row in rows)
-    return SampleSet(shape=p.shape, observations=obs)
+    return SampleSet._wrap(rows, p.shape)
 
 
 def elliptical_log_density(p: EllipticalParams, x: DenseTensor) -> float:
@@ -416,8 +411,7 @@ def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleS
     u = z / np.linalg.norm(z, axis=1, keepdims=True) if count else z
     r = np.asarray(p.kernel.sample_radius(rng, p.nstar, count), dtype=np.float64)
     rows = vec(p.location) + (r[:, None] * u) @ p.chol.lower.T
-    obs = tuple(_unvec(row, p.shape) for row in rows)
-    return SampleSet(shape=p.shape, observations=obs)
+    return SampleSet._wrap(rows, p.shape)
 
 
 def fit_normal(s: SampleSet, normalization: str = "unbiased") -> TensorNormalParams:

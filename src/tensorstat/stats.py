@@ -1,12 +1,21 @@
 """Sample estimators for covariance and correlation tensors.
 
-The covariance estimators accumulate per-observation outer products of
-deviations, in observation order, entirely on multi-index arrays.  The
-covariance matrix of the vectorized observations (``covariance_of_vec``)
-is computed by an unrelated matrix route, so the documented identity
-"matricize of the covariance tensor equals the covariance matrix of the
-vec" stays an honest cross-check of the shared linearization instead of a
-tautology.
+A :class:`SampleSet` stores its observations as one float64 block: an
+``N x nstar`` matrix whose rows are the vectorized observations, seen by
+the estimators as the ``(N, n1, .., nD)`` multi-index array with the
+sample axis first.  Observations handed out by a set are read-only
+tensor views of that block, built on demand.
+
+The covariance estimators contract the deviation blocks over the sample
+axis, entirely on multi-index arrays.  Swapping the arguments of
+:func:`cross_covariance` transposes its result bit-for-bit: it takes both
+contractions ``Kxy`` and ``Kyx`` and returns ``(Kxy + swap(Kyx)) / 2``,
+whose entries are the same two addends in either call, and IEEE addition
+commutes.  The covariance matrix of the vectorized observations
+(``covariance_of_vec``) is computed by an unrelated matrix route, so the
+documented identity "matricize of the covariance tensor equals the
+covariance matrix of the vec" stays an honest cross-check of the shared
+linearization instead of a tautology.
 
 Observations are never weighted and cross estimators pair positionally;
 there is no alignment or resampling logic.
@@ -14,7 +23,8 @@ there is no alignment or resampling logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -23,6 +33,7 @@ from .errors import DegenerateVarianceError, ShapeError
 from .tensor_core import (
     DenseTensor,
     Shape,
+    ShapeLike,
     SquareTensor,
     as_shape,
     matricize,
@@ -47,21 +58,27 @@ __all__ = [
 NORMALIZATIONS = ("unbiased", "mle")
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """Finite ordered collection of equally shaped tensors.
+    """Finite ordered collection of equally shaped tensors, stored as one block.
+
+    The storage is a single read-only float64 ``N x nstar`` matrix whose
+    row ``k`` is the vectorization of observation ``k`` (``to_matrix``).
+    ``block`` is the same memory seen as an ``(N, n1, .., nD)`` multi-index
+    array.  ``observations``, iteration and indexing hand out read-only
+    :class:`DenseTensor` views of the rows, built on demand; no
+    per-observation object is stored.
 
     The shape travels separately from the observations so that empty sets
     (a legitimate sampler output) stay well-defined; estimators enforce
     their own minimum observation counts.
     """
 
-    shape: Shape
-    observations: tuple[DenseTensor, ...]
+    __slots__ = ("shape", "_rows")
 
-    def __post_init__(self) -> None:
-        shape = as_shape(self.shape)
-        obs = tuple(self.observations)
+    def __init__(self, shape: ShapeLike, observations: Iterable[DenseTensor]):
+        shape = as_shape(shape)
+        obs = tuple(observations)
+        rows = np.empty((len(obs), shape.nstar))
         for k, t in enumerate(obs):
             if not isinstance(t, DenseTensor):
                 raise TypeError(f"observation {k} is not a DenseTensor")
@@ -69,8 +86,10 @@ class SampleSet:
                 raise ShapeError(
                     f"observation {k} has shape {t.shape}, expected {shape}"
                 )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "observations", obs)
+            rows[k] = t.data
+        rows.flags.writeable = False
+        self.shape = shape
+        self._rows = rows
 
     @classmethod
     def from_observations(cls, observations: Iterable[DenseTensor]) -> "SampleSet":
@@ -82,20 +101,51 @@ class SampleSet:
             )
         return cls(shape=obs[0].shape, observations=obs)
 
+    @classmethod
+    def _wrap(cls, rows: np.ndarray, shape: Shape) -> "SampleSet":
+        # Internal: adopt an N x nstar float64 matrix of vectorized
+        # observations without copying (when C-contiguous) or validating.
+        a = np.ascontiguousarray(rows, dtype=np.float64)
+        a.flags.writeable = False
+        s = object.__new__(cls)
+        s.shape = shape
+        s._rows = a
+        return s
+
+    @property
+    def observations(self) -> tuple[DenseTensor, ...]:
+        """Read-only tensor views of the observations, in order."""
+        return tuple(self)
+
+    @property
+    def block(self) -> np.ndarray:
+        """Read-only ``(N, n1, .., nD)`` multi-index view of the storage."""
+        by_cell = self._rows.T.reshape(self.shape.dims + (len(self),), order="F")
+        return np.moveaxis(by_cell, -1, 0)
+
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._rows.shape[0]
 
     def __iter__(self) -> Iterator[DenseTensor]:
-        return iter(self.observations)
+        return (self[k] for k in range(len(self)))
 
     def __getitem__(self, k: int) -> DenseTensor:
-        return self.observations[k]
+        row = self._rows[operator.index(k)]
+        return DenseTensor._wrap(row.reshape(self.shape.dims, order="F"), self.shape)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SampleSet:
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self._rows, other._rows)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SampleSet(shape={self.shape}, count={len(self)})"
 
     def to_matrix(self) -> np.ndarray:
-        """``N x nstar`` matrix whose rows are the vectorized observations."""
-        if not self.observations:
-            return np.zeros((0, self.shape.nstar))
-        return np.stack([t.data for t in self.observations])
+        """Read-only ``N x nstar`` matrix whose rows are the vectorized observations."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -103,15 +153,21 @@ class CovTensor:
     """Self-covariances of a random tensor's cells.
 
     Symmetric under block transpose (enforced exactly by construction) with
-    a positive semidefinite matricization.
+    a positive semidefinite matricization.  The checks leave their
+    diagnostics behind: ``symmetry_residual`` is the largest
+    ``|m - m.T|`` of the matricization ``m`` and ``min_eigenvalue`` the
+    smallest eigenvalue of its symmetric part.
     """
 
     value: SquareTensor
     normalization: str
+    symmetry_residual: float = field(init=False, repr=False, compare=False)
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = matricize(self.value)
-        if float(np.abs(m - m.T).max()) > 1e-12:
+        sym_residual = float(np.abs(m - m.T).max())
+        if sym_residual > 1e-12:
             raise ValueError("covariance tensor must be symmetric")
         scale = max(1.0, float(np.abs(np.diag(m)).max()))
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
@@ -120,6 +176,8 @@ class CovTensor:
                 f"covariance matricization must be positive semidefinite, "
                 f"min eigenvalue {min_eig:.3e}"
             )
+        object.__setattr__(self, "symmetry_residual", sym_residual)
+        object.__setattr__(self, "min_eigenvalue", min_eig)
 
 
 @dataclass(frozen=True)
@@ -155,10 +213,8 @@ def mean_tensor(s: SampleSet) -> DenseTensor:
     """Entrywise arithmetic mean of the observations."""
     if len(s) == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    acc = np.zeros(s.shape.dims, order="F")
-    for t in s:
-        acc += t.array
-    return DenseTensor._wrap(acc / len(s), s.shape)
+    mean = s.to_matrix().mean(axis=0)
+    return DenseTensor._wrap(mean.reshape(s.shape.dims, order="F"), s.shape)
 
 
 def _denominator(n: int, normalization: str) -> float:
@@ -175,45 +231,69 @@ def _denominator(n: int, normalization: str) -> float:
     return float(n)
 
 
+def _deviations(s: SampleSet) -> np.ndarray:
+    # (N, n1, .., nD) deviations of the observations from their mean, laid
+    # out C-contiguous so the contraction reshapes one operand for free.
+    return np.subtract(s.block, mean_tensor(s).array, order="C")
+
+
+def _contract_samples(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # Sum over the sample axis of the outer products of paired deviations:
+    # an (n_x.., n_y..) multi-index array.
+    return np.tensordot(dx, dy, axes=(0, 0))
+
+
 def cross_covariance(
     sx: SampleSet, sy: SampleSet, normalization: str = "unbiased"
 ) -> CrossCovTensor:
-    """Accumulated outer products of positionally paired deviations.
+    """Contracted outer products of positionally paired deviations.
 
     Entry ``(i1..iD, j1..jD)`` of the result is the sample covariance
     between cell ``i`` of the first tensor and cell ``j`` of the second.
-    Swapping the arguments transposes the index blocks bit-for-bit, because
-    the products commute and the accumulation order is fixed.
+    The deviation blocks are contracted over the sample axis.  Swapping the
+    arguments transposes the index blocks bit-for-bit by construction: the
+    result is ``(Kxy + swap(Kyx)) / 2`` with ``Kxy`` and ``Kyx`` the two
+    contractions, and IEEE addition commutes.  Sets holding the same
+    observations take one contraction, symmetrized the same way, so
+    ``cross_covariance(s, s)`` equals ``covariance(s)`` bit-for-bit.
     """
     if len(sx) != len(sy):
         raise ValueError(
             f"sample sets must pair positionally, got {len(sx)} and {len(sy)} observations"
         )
     denom = _denominator(len(sx), normalization)
-    mx = mean_tensor(sx).array
-    my = mean_tensor(sy).array
-    acc = np.zeros(sx.shape.dims + sy.shape.dims, order="F")
-    for xt, yt in zip(sx, sy):
-        acc += np.multiply.outer(xt.array - mx, yt.array - my)
-    value_arr = acc / denom
-    if sx.shape == sy.shape:
-        value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(value_arr, sx.shape)
+    dx = _deviations(sx)
+    same = sx is sy or (
+        sx.shape == sy.shape and np.array_equal(sx.to_matrix(), sy.to_matrix())
+    )
+    if same:
+        kxy = _contract_samples(dx, dx)
+        kyx = kxy
     else:
-        value = DenseTensor._wrap(value_arr, Shape(sx.shape.dims + sy.shape.dims))
+        dy = _deviations(sy)
+        kxy = _contract_samples(dx, dy)
+        kyx = _contract_samples(dy, dx)
+    order_y = sy.shape.order
+    swap = tuple(range(order_y, kyx.ndim)) + tuple(range(order_y))
+    acc = np.add(kxy, np.transpose(kyx, swap), order="F")
+    acc *= 0.5
+    acc /= denom
+    if sx.shape == sy.shape:
+        value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(acc, sx.shape)
+    else:
+        value = DenseTensor._wrap(acc, Shape(sx.shape.dims + sy.shape.dims))
     return CrossCovTensor(value=value, normalization=normalization)
 
 
 def covariance(s: SampleSet, normalization: str = "unbiased") -> CovTensor:
     """Self covariance tensor of a sample set.
 
-    The result is averaged with its block transpose before wrapping; the
-    accumulation is already symmetric bit-for-bit, so this is a no-op that
-    pins the symmetry invariant exactly rather than approximately.
+    Exactly symmetric under block transpose, because
+    :func:`cross_covariance` symmetrizes the single contraction it takes
+    for a set paired with itself.
     """
     cross = cross_covariance(s, s, normalization)
-    m = matricize(cross.value)
-    value = unmatricize(0.5 * (m + m.T), s.shape)
-    return CovTensor(value=value, normalization=normalization)
+    return CovTensor(value=cross.value, normalization=normalization)
 
 
 def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarray:
@@ -230,12 +310,11 @@ def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarr
 
 
 def _cell_stddev(s: SampleSet) -> np.ndarray:
-    # Per-cell MLE standard deviations; exactly zero for constant cells.
-    mean = mean_tensor(s).array
-    acc = np.zeros(s.shape.dims, order="F")
-    for t in s:
-        acc += (t.array - mean) ** 2
-    return np.sqrt(acc / len(s))
+    # Per-cell MLE standard deviations, in vec order; exactly zero for
+    # constant cells.
+    rows = s.to_matrix()
+    d = rows - mean_tensor(s).data
+    return np.sqrt((d * d).sum(axis=0) / len(s))
 
 
 def _first_degenerate_cell(mask_flat: np.ndarray, shape: Shape) -> tuple[int, ...]:
@@ -292,8 +371,8 @@ def cross_correlation(
     if on_degenerate not in ("error", "substitute"):
         raise ValueError(f"on_degenerate must be 'error' or 'substitute', got {on_degenerate!r}")
     cross = cross_covariance(sx, sy, "mle")
-    sdx = _cell_stddev(sx).ravel(order="F")
-    sdy = _cell_stddev(sy).ravel(order="F")
+    sdx = _cell_stddev(sx)
+    sdy = _cell_stddev(sy)
     degx = sdx <= 0.0
     degy = sdy <= 0.0
     if on_degenerate == "error":

@@ -6,8 +6,9 @@ JSON formats (UTF-8, one object per file):
 * square tensor   ``{"kind": "square2d", "rowShape": [...], "shape": [...],
   "data": [...]}`` with ``data`` of length ``nstar**2``
 * sample set      ``{"kind": "samples", "shape": [...], "count": N,
-  "seed": <int or null>, "observations": [<tensor objects>]}``; a bare JSON
-  array of tensor objects is also accepted on read
+  "seed": <int or null>, "observations": [<tensor objects>]}``; on read
+  ``count``, when present, must match the observations, and a bare JSON
+  array of tensor objects is also accepted
 * parameters      ``{"location": <tensor object>, "scale": <square2d object
   or {"kind": "kronecker", "factors": [<order-2 tensor objects>]}>}``
 
@@ -18,7 +19,11 @@ Binary formats (little-endian, magic ``TST1``):
 
 * single tensor   magic, u8 order, u32 dims, f64 payload
 * sample set      magic, u64 count, u8 order, u32 dims, ``count``
-  contiguous f64 payloads
+  contiguous f64 payloads (the sample set's ``N x nstar`` block, row by
+  row)
+
+Readers check that the file length matches its header before touching
+the payload, and reject non-finite entries.
 
 The binary header carries no kind tag; the two layouts are told apart by
 the reading entry point, not by the bytes.  The path ``"-"`` reads stdin
@@ -120,37 +125,69 @@ def tensor_from_obj(obj) -> AnyTensor:
             if row is None:
                 raise FileFormatError("square2d tensor objects require a 'rowShape' field")
             return SquareTensor(data, Shape(_require_dims(row)))
-    except (ShapeError, ValueError, TypeError) as e:
+    except (ShapeError, ValueError, TypeError, OverflowError) as e:
         if isinstance(e, FileFormatError):
             raise
         raise FileFormatError(str(e)) from None
     raise FileFormatError(f"unknown tensor kind {kind!r}")
 
 
+def _binary_dims(dims: tuple[int, ...]) -> bytes:
+    return struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
 def _binary_tensor(t: AnyTensor) -> bytes:
     dims = t.row_shape.dims * 2 if isinstance(t, SquareTensor) else t.shape.dims
-    header = struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
-    return header + np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+    return _binary_dims(dims) + np.ascontiguousarray(t.data, dtype="<f8").tobytes()
 
 
-def _parse_binary_header(raw: bytes, offset: int) -> tuple[tuple[int, ...], int]:
-    (order,) = struct.unpack_from("<B", raw, offset)
-    offset += 1
+def _unpack(fmt: str, raw: bytes, offset: int) -> tuple[tuple, int]:
+    end = offset + struct.calcsize(fmt)
+    if end > len(raw):
+        raise FileFormatError(f"binary header is truncated: {len(raw)} bytes")
+    return struct.unpack_from(fmt, raw, offset), end
+
+
+def _parse_binary_header(raw: bytes, offset: int) -> tuple[Shape, int]:
+    (order,), offset = _unpack("<B", raw, offset)
     if order == 0:
         raise FileFormatError("binary tensor order must be at least 1")
-    dims = struct.unpack_from(f"<{order}I", raw, offset)
-    offset += 4 * order
+    dims, offset = _unpack(f"<{order}I", raw, offset)
     if any(n < 1 for n in dims):
         raise FileFormatError(f"binary tensor dims must be positive, got {dims}")
-    return tuple(dims), offset
+    shape = Shape(dims)
+    if 8 * shape.nstar > sys.maxsize:
+        raise FileFormatError(f"binary tensor shape {shape} is too large")
+    return shape, offset
 
 
-def _parse_binary_payload(raw: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
-    end = offset + 8 * count
-    if end > len(raw):
-        raise FileFormatError("binary tensor payload is truncated")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    return values, end
+def _parse_binary_block(raw: bytes, offset: int, count: int, shape: Shape) -> np.ndarray:
+    # The rest of the file: ``count`` vectorized tensors of ``shape`` as a
+    # count x nstar matrix.  The size is checked before anything is
+    # allocated; the payload is copied once because the header leaves it
+    # misaligned for float64.
+    nstar = shape.nstar
+    expected = offset + 8 * count * nstar
+    if len(raw) < expected:
+        raise FileFormatError(
+            f"binary payload is truncated: {len(raw)} bytes, expected {expected}"
+        )
+    if len(raw) > expected:
+        raise FileFormatError(
+            f"binary file has {len(raw) - expected} trailing bytes"
+        )
+    values = np.frombuffer(raw, dtype="<f8", count=count * nstar, offset=offset)
+    return np.array(values, dtype=np.float64).reshape(count, nstar)
+
+
+def _require_finite_rows(rows: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise FileFormatError(
+            f"observation {k} has a non-finite entry (NaN or Inf)"
+        )
+    return rows
 
 
 def write_tensor(path: str, t: AnyTensor, binary: bool = False) -> None:
@@ -170,15 +207,11 @@ def read_tensor(path: str) -> AnyTensor:
     """
     raw = _read_bytes(path)
     if raw.startswith(MAGIC):
-        dims, offset = _parse_binary_header(raw, len(MAGIC))
-        nstar = int(np.prod(dims))
-        values, end = _parse_binary_payload(raw, offset, nstar)
-        if end != len(raw):
-            raise FileFormatError("binary tensor file has trailing bytes")
-        try:
-            return DenseTensor(values, Shape(dims))
-        except (ShapeError, ValueError) as e:
-            raise FileFormatError(str(e)) from None
+        shape, offset = _parse_binary_header(raw, len(MAGIC))
+        (values,) = _parse_binary_block(raw, offset, 1, shape)
+        if not np.isfinite(values).all():
+            raise FileFormatError("tensor entries must be finite (no NaN or Inf)")
+        return DenseTensor._wrap(values.reshape(shape.dims, order="F"), shape)
     return tensor_from_obj(_parse_json(raw))
 
 
@@ -186,52 +219,88 @@ def write_sample_set(
     path: str, s: SampleSet, seed: Optional[int] = None, binary: bool = False
 ) -> None:
     """Serialize a sample set; the JSON header records the seed when given."""
+    rows = s.to_matrix()
     if binary:
-        chunks = [MAGIC, struct.pack("<Q", len(s))]
-        dims = s.shape.dims
-        chunks.append(struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
-        for t in s:
-            chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        _write_bytes(path, b"".join(chunks))
+        header = MAGIC + struct.pack("<Q", len(s)) + _binary_dims(s.shape.dims)
+        _write_bytes(path, header + np.ascontiguousarray(rows, dtype="<f8").tobytes())
         return
+    dims = list(s.shape.dims)
     obj = {
         "kind": "samples",
-        "shape": list(s.shape.dims),
+        "shape": dims,
         "count": len(s),
         "seed": int(seed) if seed is not None else None,
-        "observations": [tensor_to_obj(t) for t in s],
+        "observations": [
+            {"kind": "tensor", "shape": dims, "data": row} for row in rows.tolist()
+        ],
     }
     _write_bytes(path, (json.dumps(obj) + "\n").encode("utf-8"))
 
 
+def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, Shape]:
+    # Check each observation object's header, then build the N x nstar
+    # block with one conversion over all the data lists.  Without a
+    # declared shape the first observation's shape is taken.
+    rows = []
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise FileFormatError("tensor object must be a JSON object")
+        kind = item.get("kind", "tensor")
+        if kind == "square2d":
+            raise FileFormatError("sample observations must be plain tensors")
+        if kind != "tensor":
+            raise FileFormatError(f"unknown tensor kind {kind!r}")
+        data = item.get("data")
+        if not isinstance(data, list):
+            raise FileFormatError("tensor object must carry a 'data' array")
+        dims = _require_dims(item.get("shape"))
+        if shape is None:
+            shape = Shape(dims)
+        if dims != shape.dims:
+            raise ShapeError(
+                f"observation {k} has shape {Shape(dims)}, expected {shape}"
+            )
+        if len(data) != shape.nstar:
+            raise FileFormatError(
+                f"observation {k} has {len(data)} entries, expected {shape.nstar}"
+            )
+        rows.append(data)
+    if not rows:
+        return np.empty((0, shape.nstar)), shape
+    try:
+        block = np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise FileFormatError(f"observation data must be numbers: {e}") from None
+    if block.ndim != 2:
+        raise FileFormatError("observation data must be flat lists of numbers")
+    return _require_finite_rows(block), shape
+
+
 def read_sample_set(path: str) -> SampleSet:
-    """Read a sample set: binary, JSON object form, or bare JSON array."""
+    """Read a sample set: binary, JSON object form, or bare JSON array.
+
+    A JSON object's ``count``, when present, must equal the number of
+    observations it holds.
+    """
     raw = _read_bytes(path)
     if raw.startswith(MAGIC):
-        offset = len(MAGIC)
-        (count,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        dims, offset = _parse_binary_header(raw, offset)
-        shape = Shape(dims)
-        obs = []
-        for _ in range(count):
-            values, offset = _parse_binary_payload(raw, offset, shape.nstar)
-            try:
-                obs.append(DenseTensor(values, shape))
-            except ValueError as e:
-                raise FileFormatError(str(e)) from None
-        if offset != len(raw):
-            raise FileFormatError("binary sample file has trailing bytes")
-        return SampleSet(shape=shape, observations=tuple(obs))
+        (count,), offset = _unpack("<Q", raw, len(MAGIC))
+        shape, offset = _parse_binary_header(raw, offset)
+        rows = _require_finite_rows(_parse_binary_block(raw, offset, count, shape))
+        return SampleSet._wrap(rows, shape)
     doc = _parse_json(raw)
     if isinstance(doc, dict):
         if doc.get("kind") != "samples":
             raise FileFormatError("expected a sample-set object or a JSON array")
-        dims = _require_dims(doc.get("shape"))
+        shape = Shape(_require_dims(doc.get("shape")))
         items = doc.get("observations")
         if not isinstance(items, list):
             raise FileFormatError("sample-set object must carry an 'observations' array")
-        shape = Shape(dims)
+        count = doc.get("count")
+        if count is not None and (type(count) is not int or count != len(items)):
+            raise FileFormatError(
+                f"sample-set count {count!r} does not match its {len(items)} observations"
+            )
     elif isinstance(doc, list):
         if not doc:
             raise FileFormatError(
@@ -241,15 +310,8 @@ def read_sample_set(path: str) -> SampleSet:
         shape = None
     else:
         raise FileFormatError("sample file must hold a JSON object or array")
-    obs = []
-    for item in items:
-        t = tensor_from_obj(item)
-        if not isinstance(t, DenseTensor):
-            raise FileFormatError("sample observations must be plain tensors")
-        obs.append(t)
-    if shape is None:
-        shape = obs[0].shape
-    return SampleSet(shape=shape, observations=tuple(obs))
+    rows, shape = _json_sample_rows(items, shape)
+    return SampleSet._wrap(rows, shape)
 
 
 def write_params(

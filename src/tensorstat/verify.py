@@ -356,9 +356,7 @@ def _check_cov_sum_expansion(rng, shape, n):
         count = int(rng.integers(3, 51))
         sx = _random_sample_set(rng, shape, count)
         sy = _random_sample_set(rng, shape, count)
-        sz = SampleSet(
-            shape=shape, observations=tuple(x + y for x, y in zip(sx, sy))
-        )
+        sz = SampleSet._wrap(sx.to_matrix() + sy.to_matrix(), shape)
         total = covariance(sz).value.array
         parts = (
             covariance(sx).value.array

@@ -165,6 +165,37 @@ class TestEstimate:
         t = read_tensor(str(dst))
         assert t.shape == Shape((2, 3))
 
+    def test_cov_diagnostics_are_those_of_the_written_tensor(self, capsys, tmp_path):
+        rng = np.random.default_rng(202)
+        src = self.write_samples(tmp_path, rng.standard_normal((40, 6)), (3, 2))
+        dst = tmp_path / "cov.json"
+        code, out, _ = run(capsys, "estimate", src, str(dst), "--kind", "cov")
+        assert code == 0
+        m = read_tensor(str(dst)).data.reshape((6, 6), order="F")
+        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+        assert out.splitlines() == [
+            "shape: 3x2x3x2",
+            f"symmetry residual: {float(np.abs(m - m.T).max()):.3e}",
+            f"min matricized eigenvalue: {min_eig:.17g}",
+        ]
+
+    def test_count_disagreement_exits_2(self, capsys, tmp_path):
+        src = self.write_samples(tmp_path, [[0.0], [2.0]], (1,))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["count"] = 5
+        write_json(tmp_path / "s.json", doc)
+        code, _, err = run(capsys, "estimate", src, str(tmp_path / "c.json"), "--kind", "cov")
+        assert code == 2
+        assert "count" in err
+
+    def test_short_binary_header_is_a_plain_error(self, capsys, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"TST1\x05\x00")
+        code, _, err = run(capsys, "estimate", str(path), str(tmp_path / "c.json"), "--kind", "cov")
+        assert code == 2
+        assert err.startswith("error: binary header is truncated")
+        assert "unpack" not in err and len(err.splitlines()) == 1
+
     def test_shape_disagreement_exits_2(self, capsys, tmp_path):
         objs = [
             tensor_to_obj(DenseTensor([1.0, 2.0], (2,))),

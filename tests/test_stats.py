@@ -66,6 +66,33 @@ class TestSampleSet:
         s = make_set([[1.0, 2.0], [3.0, 4.0]], (2,))
         np.testing.assert_array_equal(s.to_matrix(), [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_observations_are_read_only_views_of_the_block(self):
+        rng = np.random.default_rng(30)
+        tensors = [DenseTensor.from_array(rng.standard_normal((3, 2, 2))) for _ in range(4)]
+        s = SampleSet.from_observations(tensors)
+        assert s.observations == tuple(tensors)
+        assert list(s) == tensors
+        assert s[-1] == tensors[-1]
+        for k, t in enumerate(tensors):
+            np.testing.assert_array_equal(s.to_matrix()[k], t.data)
+            np.testing.assert_array_equal(s.block[k], t.array)
+            assert np.shares_memory(s[k].array, s.to_matrix())
+        assert s.block.shape == (4, 3, 2, 2)
+        with pytest.raises(ValueError):
+            s.to_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s[0].array[0, 0, 0] = 1.0
+
+    def test_constructor_copies_its_inputs(self):
+        x = DenseTensor([1.0, 2.0], (2,))
+        s = SampleSet.from_observations([x, x])
+        assert s == SampleSet(shape=(2,), observations=[x, x])
+        assert not np.shares_memory(s.to_matrix(), x.array)
+
+    def test_non_tensor_observation_rejected(self):
+        with pytest.raises(TypeError):
+            SampleSet(shape=Shape((2,)), observations=([1.0, 2.0],))
+
 
 class TestMean:
     def test_singleton(self):
@@ -136,6 +163,13 @@ class TestCovariance:
         ref = acc / len(s) - np.asarray(outer(mean, mean).array)
         got = covariance(s, "mle").value.array
         assert np.abs(got - ref).max() <= 1e-12
+
+    def test_diagnostics_match_the_matricization(self):
+        rng = np.random.default_rng(31)
+        cov = covariance(random_set(rng, (3, 2), 12))
+        m = matricize(cov.value)
+        assert cov.symmetry_residual == float(np.abs(m - m.T).max()) == 0.0
+        assert cov.min_eigenvalue == float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
 
     def test_sum_expansion(self):
         rng = np.random.default_rng(43)
@@ -214,6 +248,54 @@ class TestCrossCovariance:
         lhs = cross_covariance(sxy, sz).value.array
         rhs = cross_covariance(sx, sz).value.array + cross_covariance(sy, sz).value.array
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @staticmethod
+    def _gemm_sized(seed, *dims, n=300):
+        # Large enough that the contraction runs through blocked BLAS
+        # kernels, whose summation order need not match between Kxy and Kyx.
+        rng = np.random.default_rng(seed)
+        return [random_set(rng, d, n) for d in dims]
+
+    def test_index_swap_exact_at_gemm_size(self):
+        sx, sy = self._gemm_sized(50, (8, 8, 2), (8, 8, 2))
+        kxy = matricize(cross_covariance(sx, sy).value)
+        kyx = matricize(cross_covariance(sy, sx).value)
+        np.testing.assert_array_equal(kxy, kyx.T)
+
+    def test_rectangular_swap_exact_at_gemm_size(self):
+        sx, sy = self._gemm_sized(51, (4, 4), (8, 2))
+        got = cross_covariance(sx, sy).value
+        swapped = cross_covariance(sy, sx).value
+        assert got.shape == Shape((4, 4, 8, 2))
+        assert swapped.shape == Shape((8, 2, 4, 4))
+        np.testing.assert_array_equal(
+            got.data.reshape((16, 16), order="F"),
+            swapped.data.reshape((16, 16), order="F").T,
+        )
+
+    def test_matches_outer_product_loop_at_gemm_size(self):
+        sx, sy = self._gemm_sized(54, (4, 4), (8, 2))
+        mx, my = mean_tensor(sx).array, mean_tensor(sy).array
+        acc = np.zeros((4, 4, 8, 2))
+        for x, y in zip(sx, sy):
+            acc += np.multiply.outer(x.array - mx, y.array - my)
+        got = cross_covariance(sx, sy).value.array
+        np.testing.assert_allclose(got, acc / (len(sx) - 1), rtol=0, atol=1e-12)
+
+    def test_self_equals_covariance_bitwise_at_gemm_size(self):
+        (s,) = self._gemm_sized(52, (8, 8, 2))
+        cov = covariance(s).value
+        np.testing.assert_array_equal(cross_covariance(s, s).value.array, cov.array)
+        # a separately built set with the same observations gives the same bits
+        twin = SampleSet(shape=s.shape, observations=tuple(s))
+        np.testing.assert_array_equal(cross_covariance(s, twin).value.array, cov.array)
+        m = matricize(cov)
+        np.testing.assert_array_equal(m, m.T)
+
+    def test_matches_vec_route_at_gemm_size(self):
+        (s,) = self._gemm_sized(53, (8, 8, 2))
+        m = matricize(covariance(s).value)
+        np.testing.assert_allclose(m, covariance_of_vec(s), rtol=0, atol=1e-12)
 
     def test_independent_streams_near_zero(self):
         # independent draws decorrelate at the Monte-Carlo rate

@@ -1,9 +1,12 @@
 """Tests for the JSON and binary tensor file formats."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tensorstat.errors import FileFormatError
 from tensorstat.linalg import KroneckerFactors
@@ -20,6 +23,10 @@ from tensorstat.tensorfile import (
     write_sample_set,
     write_tensor,
 )
+
+
+# The file under tmp_path is rewritten for every example.
+FUZZ_FILE = [HealthCheck.function_scoped_fixture]
 
 
 def random_dense(rng, dims):
@@ -68,6 +75,7 @@ class TestJsonTensor:
             json.dumps({"kind": "tensor", "shape": [2], "data": [1.0]}).encode(),
             json.dumps({"kind": "weird", "shape": [2], "data": [1.0, 2.0]}).encode(),
             json.dumps({"kind": "tensor", "shape": [0], "data": []}).encode(),
+            json.dumps({"kind": "tensor", "shape": [2], "data": [1.0, 10**400]}).encode(),
         ]:
             (tmp_path / "bad.json").write_bytes(payload)
             with pytest.raises(FileFormatError):
@@ -178,6 +186,143 @@ class TestSampleSets:
         path = tmp_path / "s.json"
         path.write_text(json.dumps([tensor_to_obj(SquareTensor.identity((2,)))]))
         with pytest.raises(FileFormatError):
+            read_sample_set(str(path))
+
+
+class TestBinaryReaderErrors:
+    @staticmethod
+    def sample_header(count, dims):
+        return (
+            MAGIC
+            + struct.pack("<Q", count)
+            + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims)
+        )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [MAGIC, MAGIC + b"\x02", MAGIC + b"\x02\x03\x00\x00\x00\x01"],
+    )
+    def test_short_tensor_header(self, tmp_path, raw):
+        path = tmp_path / "t.bin"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match="header is truncated"):
+            read_tensor(str(path))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [MAGIC + b"\x05\x00", MAGIC + bytes(8), MAGIC + bytes(8) + b"\x02\x01\x00"],
+    )
+    def test_short_sample_header(self, tmp_path, raw):
+        path = tmp_path / "s.bin"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match="header is truncated"):
+            read_sample_set(str(path))
+
+    def test_huge_count_fails_on_the_length_check(self, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(self.sample_header(2**40, (2,)) + bytes(16))
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_sample_set(str(path))
+
+    def test_huge_shape_with_no_observations_rejected(self, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(self.sample_header(0, (2**32 - 1,) * 3))
+        with pytest.raises(FileFormatError, match="too large"):
+            read_sample_set(str(path))
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(self.sample_header(1, (2,)) + bytes(17))
+        with pytest.raises(FileFormatError, match="trailing"):
+            read_sample_set(str(path))
+
+    def test_non_finite_entry_names_the_observation(self, tmp_path):
+        block = np.zeros((5, 3))
+        block[3, 1] = np.nan
+        block[4, 0] = np.inf
+        path = tmp_path / "s.bin"
+        path.write_bytes(self.sample_header(5, (3,)) + block.astype("<f8").tobytes())
+        with pytest.raises(FileFormatError, match="observation 3 "):
+            read_sample_set(str(path))
+
+    def test_non_finite_tensor_entry(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(MAGIC + b"\x01\x02\x00\x00\x00" + np.array([1.0, np.inf]).tobytes())
+        with pytest.raises(FileFormatError, match="finite"):
+            read_tensor(str(path))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=FUZZ_FILE)
+    @given(tail=st.binary(max_size=64))
+    def test_arbitrary_bytes_after_magic(self, tmp_path, tail):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(MAGIC + tail)
+        try:
+            s = read_sample_set(str(path))
+        except FileFormatError:
+            return
+        assert isinstance(s, SampleSet)
+        assert s.to_matrix().shape == (len(s), s.shape.nstar)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=FUZZ_FILE)
+    @given(
+        count=st.integers(0, 2**64 - 1),
+        dims=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        payload=st.binary(max_size=64),
+    )
+    def test_arbitrary_sample_headers(self, tmp_path, count, dims, payload):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(self.sample_header(count, dims) + payload)
+        try:
+            s = read_sample_set(str(path))
+        except FileFormatError:
+            return
+        assert len(s) == count
+        assert s.shape.dims == tuple(dims)
+
+
+class TestJsonSampleErrors:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def samples_doc(self, rows, **extra):
+        doc = {
+            "kind": "samples",
+            "shape": [2],
+            "observations": [tensor_to_obj(DenseTensor(r, (2,))) for r in rows],
+        }
+        doc.update(extra)
+        return doc
+
+    @pytest.mark.parametrize("count", [5, 1, "2", 2.0, True])
+    def test_count_must_match(self, tmp_path, count):
+        path = self.write(tmp_path, self.samples_doc([[1.0, 2.0], [3.0, 4.0]], count=count))
+        with pytest.raises(FileFormatError, match="count"):
+            read_sample_set(path)
+
+    def test_matching_or_absent_count_accepted(self, tmp_path):
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        assert len(read_sample_set(self.write(tmp_path, self.samples_doc(rows, count=2)))) == 2
+        assert len(read_sample_set(self.write(tmp_path, self.samples_doc(rows)))) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [[1.0], [1.0, 2.0, 3.0], [1.0, "x"], [1.0, [2.0]], [1.0, None], [1.0, 10**400]],
+    )
+    def test_bad_observation_data(self, tmp_path, data):
+        doc = self.samples_doc([[1.0, 2.0]])
+        doc["observations"].append({"kind": "tensor", "shape": [2], "data": data})
+        with pytest.raises(FileFormatError):
+            read_sample_set(self.write(tmp_path, doc))
+
+    def test_non_finite_names_the_observation(self, tmp_path):
+        doc = self.samples_doc([[1.0, 2.0], [3.0, 4.0]])
+        doc["observations"][1]["data"][0] = 1e400
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        with pytest.raises(FileFormatError, match="observation 1 "):
             read_sample_set(str(path))
 
 
