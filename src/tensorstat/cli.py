@@ -5,12 +5,12 @@ tensor files), ``estimate`` (covariance/correlation estimation over sample
 files), ``density`` and ``sample`` (tensor normal and elliptical laws), and
 ``verify`` (the full invariant and Monte-Carlo suite).
 
-Exit codes: 0 success, 2 malformed input or usage error, 3 mathematical
-precondition failure (singular tensor, non-positive-definite scale,
-degenerate variance).  Scalars print with 17 significant digits so they
-round-trip.  ``TENSORSTAT_SEED`` supplies a default seed where one is not
-given on the command line; the flag wins.  The path ``-`` means stdin or
-stdout.
+Exit codes: 0 success, 1 ``verify`` found a failing check, 2 malformed
+input or usage error, 3 mathematical precondition failure (singular
+tensor, non-positive-definite scale, degenerate variance).  Scalars print
+with 17 significant digits so they round-trip.  ``TENSORSTAT_SEED``
+supplies a default seed where one is not given on the command line; the
+flag wins.  The path ``-`` means stdin or stdout.
 """
 
 from __future__ import annotations
@@ -26,14 +26,10 @@ import numpy as np
 
 from .distributions import (
     EllipticalParams,
-    NormalKernel,
     RngSeed,
-    TensorNormalParams,
     elliptical_log_density,
     elliptical_sample,
     kernel_from_spec,
-    normal_log_density,
-    normal_sample,
 )
 from .errors import (
     DefinitenessError,
@@ -190,23 +186,17 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _load_density_params(args):
+def _load_density_params(args) -> EllipticalParams:
     location, scale = read_params(args.params)
-    kernel = kernel_from_spec(args.family)
-    if isinstance(kernel, NormalKernel):
-        return TensorNormalParams(location, scale), None
-    return None, EllipticalParams(location, scale, kernel)
+    return EllipticalParams(location, scale, kernel_from_spec(args.family))
 
 
 def _cmd_density(args) -> int:
-    normal, elliptical = _load_density_params(args)
+    params = _load_density_params(args)
     point = read_tensor(args.point)
     if not isinstance(point, DenseTensor):
         raise FileFormatError("the evaluation point must be a plain tensor")
-    if normal is not None:
-        value = normal_log_density(normal, point)
-    else:
-        value = elliptical_log_density(elliptical, point)
+    value = elliptical_log_density(params, point)
     print(_fmt(value if args.log else float(np.exp(value))))
     return EXIT_OK
 
@@ -216,11 +206,7 @@ def _cmd_sample(args) -> int:
         raise FileFormatError("--count must be non-negative")
     seed_value = _resolve_seed(args.seed, DEFAULT_SAMPLE_SEED)
     seed = RngSeed(seed_value, 0)
-    normal, elliptical = _load_density_params(args)
-    if normal is not None:
-        samples = normal_sample(normal, seed, args.count)
-    else:
-        samples = elliptical_sample(elliptical, seed, args.count)
+    samples = elliptical_sample(_load_density_params(args), seed, args.count)
     write_sample_set(
         args.output,
         samples,

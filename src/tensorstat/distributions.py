@@ -11,7 +11,9 @@ equivalence stays testable.
 
 The elliptical family generalizes the normal by a pluggable radial kernel
 ``g``; densities are ``c * g(q)`` with the determinant factor folded into
-the cached normalizer.  All densities are computed and exposed in log
+the cached normalizer.  The tensor normal is the elliptical law with
+``g(q) = exp(-q/2)``, so its parameters are elliptical parameters with the
+normal kernel.  All densities are computed and exposed in log
 space, since the linear density underflows quickly as ``nstar`` grows;
 linear-space wrappers are thin exponentials.
 
@@ -128,6 +130,14 @@ class RadialKernel:
         """
         return None
 
+    def _standard_draws(self, rng: np.random.Generator, nstar: int, count: int) -> np.ndarray:
+        # Rows of the standardized law (identity scale, zero location):
+        # R * u with u uniform on the unit sphere and R the radial variable.
+        z = rng.standard_normal((count, nstar))
+        u = z / np.linalg.norm(z, axis=1, keepdims=True) if count else z
+        r = np.asarray(self.sample_radius(rng, nstar, count), dtype=np.float64)
+        return r[:, None] * u
+
 
 @dataclass(frozen=True)
 class NormalKernel(RadialKernel):
@@ -147,6 +157,11 @@ class NormalKernel(RadialKernel):
 
     def covariance_scale(self, nstar: int) -> float:
         return 1.0
+
+    def _standard_draws(self, rng: np.random.Generator, nstar: int, count: int) -> np.ndarray:
+        # White noise: the same law as R * u, and the draw that seeded
+        # normal sample files are made of (their digests are pinned).
+        return rng.standard_normal((count, nstar))
 
 
 @dataclass(frozen=True)
@@ -226,57 +241,15 @@ def _effective_scale_matrix(location: DenseTensor, scale: ScaleSpec) -> np.ndarr
     )
 
 
-class TensorNormalParams:
-    """Location tensor plus symmetric positive definite scale.
+class EllipticalParams:
+    """Location, scale and radial kernel of a tensor elliptical law.
 
     The scale may be a dense square tensor or per-mode Kronecker factors;
     both reduce to one effective matricization whose Cholesky factor and
     log-determinant are computed once here and reused by every density and
-    sampler call.  Instances are immutable after construction.
-    """
-
-    __slots__ = ("location", "scale", "chol", "log_det", "_scale_matrix")
-
-    def __init__(self, location: DenseTensor, scale: ScaleSpec):
-        eff = _effective_scale_matrix(location, scale)
-        sym = 0.5 * (eff + eff.T)
-        lower = cholesky_lower(sym)
-        sym.flags.writeable = False
-        self.location = location
-        self.scale = scale
-        self._scale_matrix = sym
-        self.chol = CholeskyFactor(row_shape=location.shape, lower=lower)
-        self.log_det = self.chol.log_det
-
-    @property
-    def shape(self) -> Shape:
-        return self.location.shape
-
-    @property
-    def nstar(self) -> int:
-        return self.location.shape.nstar
-
-    @property
-    def scale_matrix(self) -> np.ndarray:
-        """Effective (symmetrized) matricization of the scale."""
-        return self._scale_matrix
-
-    @property
-    def scale_tensor(self) -> SquareTensor:
-        """Dense square-tensor view of the effective scale."""
-        return unmatricize(self._scale_matrix, self.shape)
-
-    def __repr__(self) -> str:
-        kind = "kronecker" if isinstance(self.scale, KroneckerFactors) else "dense"
-        return f"TensorNormalParams(shape={self.shape}, scale={kind})"
-
-
-class EllipticalParams:
-    """Location, scale and radial kernel of a tensor elliptical law.
-
-    The cached ``log_normalizer`` already includes the determinant factor
-    of the scale, so the kernel's ``log_g`` sees only the scalar quadratic
-    form.
+    sampler call.  The cached ``log_normalizer`` already includes the
+    determinant factor of the scale, so the kernel's ``log_g`` sees only
+    the scalar quadratic form.  Instances are immutable after construction.
     """
 
     __slots__ = ("location", "scale", "kernel", "chol", "log_det", "log_normalizer", "_scale_matrix")
@@ -306,14 +279,25 @@ class EllipticalParams:
 
     @property
     def scale_matrix(self) -> np.ndarray:
+        """Effective (symmetrized) matricization of the scale."""
         return self._scale_matrix
 
     @property
     def scale_tensor(self) -> SquareTensor:
+        """Dense square-tensor view of the effective scale."""
         return unmatricize(self._scale_matrix, self.shape)
 
     def __repr__(self) -> str:
-        return f"EllipticalParams(shape={self.shape}, kernel={self.kernel.name!r})"
+        return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
+
+
+class TensorNormalParams(EllipticalParams):
+    """Tensor normal law: the elliptical law with the Gaussian kernel."""
+
+    __slots__ = ()
+
+    def __init__(self, location: DenseTensor, scale: ScaleSpec):
+        super().__init__(location, scale, NormalKernel())
 
 
 def _deviation(p, x: DenseTensor) -> np.ndarray:
@@ -324,19 +308,25 @@ def _deviation(p, x: DenseTensor) -> np.ndarray:
     return vec(x) - vec(p.location)
 
 
-def normal_log_density(p: TensorNormalParams, x: DenseTensor) -> float:
-    """Log-density of the tensor normal at ``x``.
-
-    The quadratic form of the deviation against the inverse scale is
-    evaluated through the cached Cholesky factor (one triangular solve);
-    the explicit inverse is never formed.
-    """
+def _quadratic_form(p: EllipticalParams, x: DenseTensor) -> float:
+    # Deviation against the inverse scale through the cached Cholesky
+    # factor (one triangular solve); the explicit inverse is never formed.
     z = p.chol.solve_lower(_deviation(p, x))
-    q = float(z @ z)
+    return float(z @ z)
+
+
+def normal_log_density(p: EllipticalParams, x: DenseTensor) -> float:
+    """Log-density at ``x`` of the tensor normal with ``p``'s location and scale.
+
+    The Gaussian formula is used whatever ``p``'s kernel, which keeps it
+    an independent reference for :func:`elliptical_log_density` with the
+    normal kernel.
+    """
+    q = _quadratic_form(p, x)
     return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
 
 
-def normal_log_density_vec_oracle(p: TensorNormalParams, x: DenseTensor) -> float:
+def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
     """Classical multivariate-normal log-density on the vectorized point.
 
     Re-derives the determinant (LU ``slogdet``) and the quadratic form (LU
@@ -351,7 +341,7 @@ def normal_log_density_vec_oracle(p: TensorNormalParams, x: DenseTensor) -> floa
     return -0.5 * (p.nstar * LN_2PI + float(log_det) + q)
 
 
-def normal_log_density_batch(p: TensorNormalParams, points: np.ndarray) -> np.ndarray:
+def normal_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndarray:
     """Vectorized log-density over rows of ``points`` (vectorized tensors).
 
     Matches :func:`normal_log_density` point for point; exists so grids and
@@ -365,30 +355,32 @@ def normal_log_density_batch(p: TensorNormalParams, points: np.ndarray) -> np.nd
     return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
 
 
-def normal_density(p: TensorNormalParams, x: DenseTensor) -> float:
+def normal_density(p: EllipticalParams, x: DenseTensor) -> float:
     """Linear-space density; thin exponential wrapper over the log form."""
     return math.exp(normal_log_density(p, x))
 
 
-def normal_sample(p: TensorNormalParams, seed: RngSeed, count: int) -> SampleSet:
-    """Draw ``count`` tensors: location plus the Cholesky image of white noise.
-
-    Deterministic for a given ``(seed, stream)``: identical inputs yield
-    bit-identical sample sets.
-    """
+def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int) -> SampleSet:
+    # location + W L^T, with W the kernel's standardized draws.
     if count < 0:
         raise ValueError("count must be non-negative")
-    rng = seed.generator()
-    z = rng.standard_normal((count, p.nstar))
-    rows = vec(p.location) + z @ p.chol.lower.T
-    return SampleSet._wrap(rows, p.shape)
+    w = kernel._standard_draws(seed.generator(), p.nstar, count)
+    return SampleSet._wrap(vec(p.location) + w @ p.chol.lower.T, p.shape)
+
+
+def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
+    """Draw ``count`` tensors: location plus the Cholesky image of white noise.
+
+    Uses the Gaussian law of ``p``'s location and scale, whatever its
+    kernel.  Deterministic for a given ``(seed, stream)``: identical inputs
+    yield bit-identical sample sets.
+    """
+    return _sample(p, NormalKernel(), seed, count)
 
 
 def elliptical_log_density(p: EllipticalParams, x: DenseTensor) -> float:
     """Log-density ``log c + log g(q)`` of the elliptical law at ``x``."""
-    z = p.chol.solve_lower(_deviation(p, x))
-    q = float(z @ z)
-    return p.log_normalizer + float(p.kernel.log_g(q, p.nstar))
+    return p.log_normalizer + float(p.kernel.log_g(_quadratic_form(p, x), p.nstar))
 
 
 def elliptical_density(p: EllipticalParams, x: DenseTensor) -> float:
@@ -397,21 +389,15 @@ def elliptical_density(p: EllipticalParams, x: DenseTensor) -> float:
 
 
 def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
-    """Radial-spherical sampler: location + R * L u.
+    """Draw ``count`` tensors from ``p``'s law: location + L w.
 
-    ``u`` is uniform on the unit sphere in ``nstar`` dimensions, ``L`` the
-    Cholesky factor of the scale matricization, and ``R`` the kernel's
-    radial variable.  Kernels without a registered sampler raise
-    :class:`UnsupportedKernelError`.
+    ``L`` is the Cholesky factor of the scale matricization and ``w`` the
+    kernel's standardized draw: ``R * u`` with ``u`` uniform on the unit
+    sphere in ``nstar`` dimensions and ``R`` the kernel's radial variable,
+    or white noise for the normal kernel.  Kernels without a registered
+    sampler raise :class:`UnsupportedKernelError`.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    rng = seed.generator()
-    z = rng.standard_normal((count, p.nstar))
-    u = z / np.linalg.norm(z, axis=1, keepdims=True) if count else z
-    r = np.asarray(p.kernel.sample_radius(rng, p.nstar, count), dtype=np.float64)
-    rows = vec(p.location) + (r[:, None] * u) @ p.chol.lower.T
-    return SampleSet._wrap(rows, p.shape)
+    return _sample(p, p.kernel, seed, count)
 
 
 def fit_normal(s: SampleSet, normalization: str = "unbiased") -> TensorNormalParams:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DefinitenessError, ShapeError, SingularTensorError, SymmetryError
-from .tensor_core import Shape, SquareTensor, matricize, transpose2d, unmatricize
+from .tensor_core import Shape, SquareTensor, _require_finite, matricize, transpose2d, unmatricize
 
 __all__ = [
     "RCOND_LIMIT",
@@ -180,6 +180,8 @@ class KroneckerFactors:
                 raise ShapeError(
                     f"factor {k} must be a square matrix, got shape {a.shape}"
                 )
+            # Checked first: an asymmetry test against NaN is always False.
+            _require_finite(a)
             asym = float(np.abs(a - a.T).max())
             if asym > 1e-12:
                 raise SymmetryError(

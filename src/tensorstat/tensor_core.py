@@ -102,7 +102,97 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("tensor entries must be finite (no NaN or Inf)")
 
 
-class DenseTensor:
+class _Tensor:
+    """Storage and arithmetic shared by :class:`DenseTensor` and :class:`SquareTensor`.
+
+    A subclass names the attribute holding its :class:`Shape` in
+    ``_shape_attr`` and how error messages call it in ``_shape_label``.
+    Arithmetic and equality take two tensors of the same kind only; mixing
+    kinds returns ``NotImplemented``.
+    """
+
+    __slots__ = ("_array",)
+    _shape_attr = "shape"
+    _shape_label = "shape"
+
+    @classmethod
+    def _wrap(cls, array: np.ndarray, shape: Shape):
+        # Internal: adopt a float64 array without copying or validating.
+        a = np.asfortranarray(array, dtype=np.float64)
+        a.flags.writeable = False
+        t = object.__new__(cls)
+        setattr(t, cls._shape_attr, shape)
+        t._array = a
+        return t
+
+    def _adopt_flat(self, data, shape: Shape, dims: tuple[int, ...], hint: str) -> None:
+        # Constructor body: copy flat column-major data, validate, adopt.
+        flat = np.array(data, dtype=np.float64, copy=True)
+        if flat.ndim != 1:
+            raise ShapeError(
+                f"data must be a flat sequence, got {flat.ndim} dimensions; use {hint}"
+            )
+        expected = math.prod(dims)
+        if flat.size != expected:
+            raise ShapeError(
+                f"data length {flat.size} does not match {self._shape_label} {shape} "
+                f"(expected {expected} entries)"
+            )
+        _require_finite(flat)
+        array = flat.reshape(dims, order="F")
+        array.flags.writeable = False
+        setattr(self, self._shape_attr, shape)
+        self._array = array
+
+    def _shape(self) -> Shape:
+        return getattr(self, self._shape_attr)
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only multi-dimensional view of the entries."""
+        return self._array
+
+    @property
+    def data(self) -> np.ndarray:
+        """Read-only column-major flat view of the entries."""
+        return self._array.reshape(-1, order="F")
+
+    def __getitem__(self, index):
+        return self._array[index]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and np.array_equal(self._array, other._array)
+
+    __hash__ = None
+
+    def _combine(self, other, op, verb: str):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._shape() != self._shape():
+            raise ShapeError(
+                f"cannot {verb} tensors of {self._shape_label}s {self._shape()} "
+                f"and {other._shape()}"
+            )
+        return self._wrap(op(self._array, other._array), self._shape())
+
+    def __add__(self, other):
+        return self._combine(other, np.add, "add")
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract, "subtract")
+
+    def __mul__(self, factor: float):
+        return self._wrap(float(factor) * self._array, self._shape())
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._wrap(-self._array, self._shape())
+
+
+class DenseTensor(_Tensor):
     """Immutable dense real order-D tensor.
 
     ``data`` is the column-major flat sequence (first index fastest) and
@@ -117,26 +207,11 @@ class DenseTensor:
         Dimension lengths.
     """
 
-    __slots__ = ("shape", "_array")
+    __slots__ = ("shape",)
 
     def __init__(self, data, shape: ShapeLike):
         shape = as_shape(shape)
-        flat = np.array(data, dtype=np.float64, copy=True)
-        if flat.ndim != 1:
-            raise ShapeError(
-                f"data must be a flat sequence, got {flat.ndim} dimensions; "
-                "use from_array for multi-dimensional input"
-            )
-        if flat.size != shape.nstar:
-            raise ShapeError(
-                f"data length {flat.size} does not match shape {shape} "
-                f"(expected {shape.nstar} entries)"
-            )
-        _require_finite(flat)
-        array = flat.reshape(shape.dims, order="F")
-        array.flags.writeable = False
-        self.shape = shape
-        self._array = array
+        self._adopt_flat(data, shape, shape.dims, "from_array for multi-dimensional input")
 
     @classmethod
     def from_array(cls, array) -> "DenseTensor":
@@ -152,78 +227,15 @@ class DenseTensor:
         shape = as_shape(shape)
         return cls._wrap(np.zeros(shape.dims, order="F"), shape)
 
-    @classmethod
-    def _wrap(cls, array: np.ndarray, shape: Shape) -> "DenseTensor":
-        # Internal: adopt a float64 array without copying or validating.
-        a = np.asfortranarray(array, dtype=np.float64)
-        a.flags.writeable = False
-        t = object.__new__(cls)
-        t.shape = shape
-        t._array = a
-        return t
-
-    @classmethod
-    def _unchecked(cls, data, shape: ShapeLike) -> "DenseTensor":
-        # Test-only escape hatch: skips the finite-entry validation.
-        shape = as_shape(shape)
-        flat = np.array(data, dtype=np.float64, copy=True).reshape(-1)
-        if flat.size != shape.nstar:
-            raise ShapeError(
-                f"data length {flat.size} does not match shape {shape}"
-            )
-        return cls._wrap(flat.reshape(shape.dims, order="F"), shape)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only multi-dimensional view of the entries."""
-        return self._array
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only column-major flat view of the entries."""
-        return self._array.reshape(-1, order="F")
-
     @property
     def order(self) -> int:
         return self.shape.order
-
-    def __getitem__(self, index):
-        return self._array[index]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not DenseTensor:
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self._array, other._array)
-
-    __hash__ = None
-
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        if type(other) is not DenseTensor:
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ShapeError(f"cannot add tensors of shapes {self.shape} and {other.shape}")
-        return DenseTensor._wrap(self._array + other._array, self.shape)
-
-    def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        if type(other) is not DenseTensor:
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ShapeError(f"cannot subtract tensors of shapes {self.shape} and {other.shape}")
-        return DenseTensor._wrap(self._array - other._array, self.shape)
-
-    def __mul__(self, factor: float) -> "DenseTensor":
-        return DenseTensor._wrap(float(factor) * self._array, self.shape)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DenseTensor":
-        return DenseTensor._wrap(-self._array, self.shape)
 
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self.shape})"
 
 
-class SquareTensor:
+class SquareTensor(_Tensor):
     """Immutable order-2D tensor whose two index blocks share one Shape.
 
     The first D indices form the row block and the last D the column
@@ -238,26 +250,16 @@ class SquareTensor:
         Dimension lengths shared by both index blocks.
     """
 
-    __slots__ = ("row_shape", "_array")
+    __slots__ = ("row_shape",)
+    _shape_attr = "row_shape"
+    _shape_label = "row shape"
 
     def __init__(self, data, row_shape: ShapeLike):
         row_shape = as_shape(row_shape)
-        flat = np.array(data, dtype=np.float64, copy=True)
-        if flat.ndim != 1:
-            raise ShapeError(
-                f"data must be a flat sequence, got {flat.ndim} dimensions; "
-                "use from_array or from_matrix for structured input"
-            )
-        if flat.size != row_shape.nstar**2:
-            raise ShapeError(
-                f"data length {flat.size} does not match row shape {row_shape} "
-                f"(expected {row_shape.nstar ** 2} entries)"
-            )
-        _require_finite(flat)
-        array = flat.reshape(row_shape.dims * 2, order="F")
-        array.flags.writeable = False
-        self.row_shape = row_shape
-        self._array = array
+        self._adopt_flat(
+            data, row_shape, row_shape.dims * 2,
+            "from_array or from_matrix for structured input",
+        )
 
     @classmethod
     def from_matrix(cls, matrix, row_shape: ShapeLike) -> "SquareTensor":
@@ -301,70 +303,10 @@ class SquareTensor:
         row_shape = as_shape(row_shape)
         return cls._wrap(np.zeros(row_shape.dims * 2, order="F"), row_shape)
 
-    @classmethod
-    def _wrap(cls, array: np.ndarray, row_shape: Shape) -> "SquareTensor":
-        # Internal: adopt a float64 array without copying or validating.
-        a = np.asfortranarray(array, dtype=np.float64)
-        a.flags.writeable = False
-        t = object.__new__(cls)
-        t.row_shape = row_shape
-        t._array = a
-        return t
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only order-2D view of the entries."""
-        return self._array
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only column-major flat view of the entries."""
-        return self._array.reshape(-1, order="F")
-
     @property
     def order(self) -> int:
         """Full tensor order, i.e. 2D."""
         return 2 * self.row_shape.order
-
-    def __getitem__(self, index):
-        return self._array[index]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SquareTensor:
-            return NotImplemented
-        return self.row_shape == other.row_shape and np.array_equal(
-            self._array, other._array
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "SquareTensor") -> "SquareTensor":
-        if type(other) is not SquareTensor:
-            return NotImplemented
-        if other.row_shape != self.row_shape:
-            raise ShapeError(
-                f"cannot add square tensors of row shapes {self.row_shape} "
-                f"and {other.row_shape}"
-            )
-        return SquareTensor._wrap(self._array + other._array, self.row_shape)
-
-    def __sub__(self, other: "SquareTensor") -> "SquareTensor":
-        if type(other) is not SquareTensor:
-            return NotImplemented
-        if other.row_shape != self.row_shape:
-            raise ShapeError(
-                f"cannot subtract square tensors of row shapes {self.row_shape} "
-                f"and {other.row_shape}"
-            )
-        return SquareTensor._wrap(self._array - other._array, self.row_shape)
-
-    def __mul__(self, factor: float) -> "SquareTensor":
-        return SquareTensor._wrap(float(factor) * self._array, self.row_shape)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SquareTensor":
-        return SquareTensor._wrap(-self._array, self.row_shape)
 
     def __repr__(self) -> str:
         return f"SquareTensor(row_shape={self.row_shape})"

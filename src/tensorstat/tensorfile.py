@@ -82,6 +82,8 @@ def _parse_json(raw: bytes):
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise FileFormatError("JSON is nested too deeply to read") from None
 
 
 def _require_dims(dims) -> tuple[int, ...]:

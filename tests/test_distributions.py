@@ -349,6 +349,29 @@ class TestElliptical:
         b = elliptical_sample(pe, RngSeed(4, 1), 64).to_matrix()
         np.testing.assert_array_equal(a, b)
 
+    def test_normal_params_are_elliptical_with_normal_kernel(self):
+        rng = np.random.default_rng(76)
+        loc = random_dense(rng, (2, 3))
+        s = random_spd(rng, (2, 3))
+        pn = TensorNormalParams(loc, s)
+        assert isinstance(pn, EllipticalParams)
+        assert isinstance(pn.kernel, NormalKernel)
+        a = elliptical_sample(pn, RngSeed(12, 2), 50).to_matrix()
+        b = normal_sample(pn, RngSeed(12, 2), 50).to_matrix()
+        np.testing.assert_array_equal(a, b)
+
+    def test_normal_sample_ignores_the_kernel(self):
+        rng = np.random.default_rng(77)
+        loc = random_dense(rng, (3, 2))
+        factors = KroneckerFactors(
+            (np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]), np.eye(2))
+        )
+        pe = EllipticalParams(loc, factors, StudentKernel(nu=5.0))
+        pn = TensorNormalParams(loc, factors)
+        a = normal_sample(pe, RngSeed(13), 40).to_matrix()
+        b = normal_sample(pn, RngSeed(13), 40).to_matrix()
+        np.testing.assert_array_equal(a, b)
+
     def test_kernel_without_sampler(self):
         class LaplaceLikeKernel(RadialKernel):
             # density pieces only, no registered radial sampler

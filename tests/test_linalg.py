@@ -1,6 +1,7 @@
 """Tests for determinant, inverse, Cholesky and Kronecker assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,16 @@ class TestKronecker:
             KroneckerFactors((np.zeros((2, 3)),))
         with pytest.raises(SymmetryError):
             KroneckerFactors((np.array([[1.0, 1e-6], [0.0, 1.0]]),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        factor = np.array([[bad, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                KroneckerFactors((factor, np.eye(2)))
+            with pytest.raises(ValueError, match="finite"):
+                KroneckerFactors((np.eye(2), factor))
 
 
 class TestCholeskyFactorValue:

@@ -89,7 +89,7 @@ class TestDenseTensor:
             DenseTensor([1.0, float("inf")], (2,))
 
     def test_unchecked_skips_finiteness(self):
-        t = DenseTensor._unchecked([1.0, float("nan")], (2,))
+        t = DenseTensor._wrap(np.array([1.0, float("nan")]), Shape((2,)))
         assert np.isnan(t.data[1])
 
     def test_immutable(self):
@@ -121,6 +121,18 @@ class TestDenseTensor:
     def test_mixed_kind_add_raises(self):
         with pytest.raises(ShapeError):
             add(DenseTensor.zeros((2, 2)), SquareTensor.zeros((2,)))
+
+    def test_mixed_kind_operators(self):
+        d = DenseTensor.zeros((2, 2))
+        s = SquareTensor.zeros((2,))
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(d, s)
+            with pytest.raises(TypeError):
+                op(s, d)
+        assert not d == s
+        assert not s == d
+        assert d != s
 
 
 class TestVec:

@@ -1,0 +1,34 @@
+"""Tests for the verification harness behind ``tensorstat verify``."""
+
+import numpy as np
+import pytest
+
+from tensorstat import linalg, verify
+from tensorstat.tensor_core import Shape, vec
+
+
+def test_perturbed_determinant_fails_det_product(monkeypatch):
+    exact = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda x: exact(x) + 1e-3)
+    report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
+    assert "det-product" in report.failed_names
+
+
+@pytest.mark.parametrize("name", ["mat-roundtrip", "det-product", "sampling-determinism"])
+def test_corrupt_marks_only_the_named_check(name):
+    report = verify.run_verification(Shape((2,)), n=2000, seed=1729, corrupt=name)
+    result = next(r for r in report.results if r.name == name)
+    assert not result.passed
+    assert result.deviation == result.tolerance + max(1.0, result.tolerance)
+    clean = verify.run_verification(Shape((2,)), n=2000, seed=1729)
+    assert set(report.failed_names) - set(clean.failed_names) == {name}
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_random_sample_set_rows_match_single_draws(dims, n):
+    shape = Shape(dims)
+    block = verify._random_sample_set(np.random.default_rng(9), shape, n).to_matrix()
+    rng = np.random.default_rng(9)
+    rows = np.array([vec(verify._random_dense(rng, shape)) for _ in range(n)])
+    np.testing.assert_array_equal(block, rows)
