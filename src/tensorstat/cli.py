@@ -40,7 +40,7 @@ from .errors import (
     SymmetryError,
     UnsupportedKernelError,
 )
-from .linalg import det, inverse
+from .linalg import det, inverse, slogdet
 from .stats import (
     SampleSet,
     correlation,
@@ -140,7 +140,12 @@ def _binary_output(path: str, flag: bool) -> bool:
 
 def _cmd_det(args) -> int:
     x = _as_square(read_tensor(args.input))
-    print(_fmt(det(x)))
+    if args.log:
+        sign, logabsdet = slogdet(x)
+        print(_fmt(sign))
+        print(_fmt(logabsdet))
+    else:
+        print(_fmt(det(x)))
     return EXIT_OK
 
 
@@ -237,6 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("det", help="print the determinant of a square tensor file")
     p.add_argument("input", help="square2d tensor file (or - for stdin)")
+    p.add_argument(
+        "--log",
+        action="store_true",
+        help="print the sign (-1, 0 or 1) and then log|det|, each on its own line",
+    )
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("invert", help="write the inverse of a square tensor file")

@@ -17,9 +17,12 @@ normal kernel.  All densities are computed and exposed in log
 space, since the linear density underflows quickly as ``nstar`` grows;
 linear-space wrappers are thin exponentials.
 
-Scales may be dense square tensors or per-mode Kronecker factor lists;
-both reduce to one effective matricization at construction, which is what
-makes the structured and dense parameterizations provably interchangeable.
+Scales may be dense square tensors or per-mode Kronecker factor lists.
+A Kronecker scale stays factored: its log-determinant and quadratic forms
+come from one Cholesky factor per mode, and the dense matricization is
+assembled only for what needs it (sampling, the oracle, the dense scale
+accessors).  Both parameterizations describe one effective matricization,
+and ``kronecker_equivalence_check`` compares their densities.
 """
 
 from __future__ import annotations
@@ -216,14 +219,13 @@ def kernel_from_spec(spec: str) -> RadialKernel:
     raise UnsupportedKernelError(f"unknown kernel {spec!r}")
 
 
-def _effective_scale_matrix(location: DenseTensor, scale: ScaleSpec) -> np.ndarray:
+def _check_scale(location: DenseTensor, scale: ScaleSpec) -> None:
     if isinstance(scale, KroneckerFactors):
         if scale.shape != location.shape:
             raise ShapeError(
                 f"factor sizes {scale.shape} do not match location shape {location.shape}"
             )
-        return kronecker_assemble(scale)
-    if isinstance(scale, SquareTensor):
+    elif isinstance(scale, SquareTensor):
         if scale.row_shape != location.shape:
             raise ShapeError(
                 f"scale row shape {scale.row_shape} does not match location shape "
@@ -235,36 +237,64 @@ def _effective_scale_matrix(location: DenseTensor, scale: ScaleSpec) -> np.ndarr
             raise SymmetryError(
                 f"scale matricization is not symmetric: max |m - m.T| = {asym:.3e}"
             )
-        return np.array(m, copy=True)
-    raise TypeError(
-        f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
-    )
+    else:
+        raise TypeError(
+            f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
+        )
+
+
+def _factor_choleskys(scale: ScaleSpec):
+    # Lower Cholesky factor of each symmetrized Kronecker factor, or None
+    # for a dense scale or a factor that is not positive definite (the
+    # product may still be, as for (-A, -B); the dense route decides).
+    if not isinstance(scale, KroneckerFactors):
+        return None
+    lowers = []
+    for a in scale.factors:
+        try:
+            lowers.append(np.linalg.cholesky(0.5 * (a + a.T)))
+        except np.linalg.LinAlgError:
+            return None
+    return tuple(lowers)
 
 
 class EllipticalParams:
     """Location, scale and radial kernel of a tensor elliptical law.
 
-    The scale may be a dense square tensor or per-mode Kronecker factors;
-    both reduce to one effective matricization whose Cholesky factor and
-    log-determinant are computed once here and reused by every density and
-    sampler call.  The cached ``log_normalizer`` already includes the
-    determinant factor of the scale, so the kernel's ``log_g`` sees only
-    the scalar quadratic form.  Instances are immutable after construction.
+    A dense scale is symmetrized and Cholesky-factored here.  A Kronecker
+    scale is kept factored: each mode's factor gets its own Cholesky
+    factor, the log-determinant is ``sum_k (nstar / n_k) log det A_k`` and
+    quadratic forms whiten the deviation one mode at a time, so building
+    the parameters and evaluating a density never form the ``nstar x
+    nstar`` matricization.  That dense matrix and its Cholesky factor are
+    built on first use (:attr:`scale_matrix`, :attr:`scale_tensor`,
+    :attr:`chol`: the sampler and the vec-space oracle) and cached.  The
+    cached ``log_normalizer`` already includes the determinant factor of
+    the scale, so the kernel's ``log_g`` sees only the scalar quadratic
+    form.  Instances are immutable after construction.
     """
 
-    __slots__ = ("location", "scale", "kernel", "chol", "log_det", "log_normalizer", "_scale_matrix")
+    __slots__ = (
+        "location", "scale", "kernel", "log_det", "log_normalizer",
+        "_mode_lowers", "_scale_matrix", "_chol",
+    )
 
     def __init__(self, location: DenseTensor, scale: ScaleSpec, kernel: RadialKernel):
-        eff = _effective_scale_matrix(location, scale)
-        sym = 0.5 * (eff + eff.T)
-        lower = cholesky_lower(sym)
-        sym.flags.writeable = False
+        _check_scale(location, scale)
         self.location = location
         self.scale = scale
         self.kernel = kernel
-        self._scale_matrix = sym
-        self.chol = CholeskyFactor(row_shape=location.shape, lower=lower)
-        self.log_det = self.chol.log_det
+        self._scale_matrix = None
+        self._chol = None
+        self._mode_lowers = _factor_choleskys(scale)
+        if self._mode_lowers is None:
+            self.log_det = self.chol.log_det
+        else:
+            nstar = location.shape.nstar
+            self.log_det = sum(
+                (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
+                for low in self._mode_lowers
+            )
         self.log_normalizer = kernel.log_norm_constant(location.shape.nstar) - 0.5 * self.log_det
         if not math.isfinite(self.log_normalizer):
             raise ValueError("normalizing constant is not finite and positive")
@@ -279,13 +309,45 @@ class EllipticalParams:
 
     @property
     def scale_matrix(self) -> np.ndarray:
-        """Effective (symmetrized) matricization of the scale."""
+        """Effective (symmetrized) matricization of the scale, built on first use."""
+        if self._scale_matrix is None:
+            if isinstance(self.scale, KroneckerFactors):
+                eff = kronecker_assemble(self.scale)
+            else:
+                eff = matricize(self.scale)
+            sym = eff + eff.T
+            del eff
+            sym *= 0.5
+            sym.flags.writeable = False
+            self._scale_matrix = sym
         return self._scale_matrix
+
+    @property
+    def chol(self) -> CholeskyFactor:
+        """Cholesky factor of :attr:`scale_matrix`, built on first use."""
+        if self._chol is None:
+            lower = cholesky_lower(self.scale_matrix)
+            self._chol = CholeskyFactor(row_shape=self.shape, lower=lower)
+        return self._chol
 
     @property
     def scale_tensor(self) -> SquareTensor:
         """Dense square-tensor view of the effective scale."""
-        return unmatricize(self._scale_matrix, self.shape)
+        return unmatricize(self.scale_matrix, self.shape)
+
+    def _whiten(self, dev: np.ndarray) -> np.ndarray:
+        # Solve L z = dev for vec-order columns ``dev`` (shape (nstar,) or
+        # (nstar, N)).  A Kronecker scale's L is the Kronecker product of
+        # the per-mode factors, so the solve runs along each mode of the
+        # column-major multi-index array in turn.
+        if self._mode_lowers is None:
+            return self.chol.solve_lower(dev)
+        z = dev.reshape(self.shape.dims + dev.shape[1:], order="F")
+        for mode, low in enumerate(self._mode_lowers):
+            moved = np.moveaxis(z, mode, 0)
+            solved = solve_triangular(low, moved.reshape(low.shape[0], -1), lower=True)
+            z = np.moveaxis(solved.reshape(moved.shape), 0, mode)
+        return z.reshape(dev.shape, order="F")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
@@ -310,8 +372,8 @@ def _deviation(p, x: DenseTensor) -> np.ndarray:
 
 def _quadratic_form(p: EllipticalParams, x: DenseTensor) -> float:
     # Deviation against the inverse scale through the cached Cholesky
-    # factor (one triangular solve); the explicit inverse is never formed.
-    z = p.chol.solve_lower(_deviation(p, x))
+    # factors (triangular solves); the explicit inverse is never formed.
+    z = p._whiten(_deviation(p, x))
     return float(z @ z)
 
 
@@ -350,7 +412,7 @@ def normal_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndar
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != p.nstar:
         raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
-    z = solve_triangular(p.chol.lower, (pts - vec(p.location)).T, lower=True)
+    z = p._whiten((pts - vec(p.location)).T)
     q = np.einsum("ij,ij->j", z, z)
     return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
 

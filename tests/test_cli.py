@@ -82,6 +82,36 @@ class TestDet:
         assert code == 0
         assert float(out) == pytest.approx(4.0)
 
+    def test_log_prints_sign_then_log_abs(self, capsys, tmp_path):
+        path = tmp_path / "neg.json"
+        write_tensor(str(path), unmatricize(np.diag([-1.0, 2.0, 3.0, 4.0]), Shape((2, 2))))
+        code, out, _ = run(capsys, "det", "--log", str(path))
+        assert code == 0
+        sign, logabsdet = out.splitlines()
+        assert sign == "-1"
+        assert float(logabsdet) == pytest.approx(math.log(24.0), rel=1e-14)
+        assert logabsdet == f"{float(logabsdet):.17g}"
+
+    def test_log_of_singular(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        write_tensor(str(path), SquareTensor.zeros((2, 2)))
+        code, out, _ = run(capsys, "det", "--log", str(path))
+        assert code == 0
+        assert out.splitlines() == ["0", "-inf"]
+
+    def test_overflow_plain_and_log(self, capsys, tmp_path):
+        path = tmp_path / "big.bin"
+        write_tensor(str(path), unmatricize(10.0 * np.eye(400), Shape((20, 20))), binary=True)
+        with np.errstate(over="ignore"):
+            code, out, _ = run(capsys, "det", str(path))
+        assert code == 0
+        assert out == "inf\n"
+        code, out, _ = run(capsys, "det", "--log", str(path))
+        assert code == 0
+        sign, logabsdet = out.splitlines()
+        assert sign == "1"
+        assert float(logabsdet) == pytest.approx(400 * math.log(10.0), rel=1e-12)
+
 
 class TestInvert:
     def test_writes_inverse(self, capsys, tmp_path):

@@ -500,3 +500,114 @@ class TestKroneckerEquivalence:
                 elliptical_log_density(dense, x) - elliptical_log_density(structured, x)
             )
             assert diff <= 1e-10
+
+
+def random_spd_factors(rng, dims):
+    mats = []
+    for nk in dims:
+        a = rng.standard_normal((nk, nk))
+        m = a @ a.T / nk + 0.5 * np.eye(nk)
+        mats.append(0.5 * (m + m.T))
+    return KroneckerFactors(tuple(mats))
+
+
+class TestStructuredKronecker:
+    """Kronecker params evaluate densities from per-mode factors only."""
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 3, 4)])
+    def test_structured_matches_dense(self, dims):
+        rng = np.random.default_rng(81)
+        shape = Shape(dims)
+        f = random_spd_factors(rng, dims)
+        loc = random_dense(rng, dims)
+        dense_scale = unmatricize(kronecker_assemble(f), shape)
+        student = StudentKernel(nu=5.0)
+        dense_n, structured_n = TensorNormalParams(loc, dense_scale), TensorNormalParams(loc, f)
+        dense_t = EllipticalParams(loc, dense_scale, student)
+        structured_t = EllipticalParams(loc, f, student)
+        for _ in range(10):
+            x = random_dense(rng, dims)
+            assert abs(
+                normal_log_density(dense_n, x) - normal_log_density(structured_n, x)
+            ) <= 1e-10
+            assert abs(
+                elliptical_log_density(dense_t, x) - elliptical_log_density(structured_t, x)
+            ) <= 1e-10
+        pts = rng.standard_normal((7, shape.nstar))
+        np.testing.assert_allclose(
+            normal_log_density_batch(structured_n, pts),
+            normal_log_density_batch(dense_n, pts),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    def test_densities_never_assemble(self, monkeypatch):
+        import tensorstat.distributions as dist
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(dist, "kronecker_assemble", refuse)
+        monkeypatch.setattr(dist, "cholesky_lower", refuse)
+        rng = np.random.default_rng(82)
+        f = random_spd_factors(rng, (2, 3, 4))
+        loc = random_dense(rng, (2, 3, 4))
+        p = TensorNormalParams(loc, f)
+        pe = EllipticalParams(loc, f, StudentKernel(nu=5.0))
+        x = random_dense(rng, (2, 3, 4))
+        assert math.isfinite(normal_log_density(p, x))
+        assert math.isfinite(elliptical_log_density(pe, x))
+        assert np.isfinite(normal_log_density_batch(p, rng.standard_normal((3, 24)))).all()
+
+    @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
+    def test_sample_uses_dense_cholesky(self, kernel):
+        rng = np.random.default_rng(83)
+        f = random_spd_factors(rng, (2, 3, 2))
+        loc = random_dense(rng, (2, 3, 2))
+        p = EllipticalParams(loc, f, kernel)
+        got = elliptical_sample(p, RngSeed(5), 20).to_matrix()
+        w = kernel._standard_draws(RngSeed(5).generator(), p.nstar, 20)
+        want = vec(loc) + w @ np.linalg.cholesky(kronecker_assemble(f)).T
+        np.testing.assert_array_equal(got, want)
+
+    def test_negated_factors_accepted(self):
+        rng = np.random.default_rng(84)
+        f = random_spd_factors(rng, (2, 3))
+        neg = KroneckerFactors(tuple(-a for a in f.factors))
+        loc = DenseTensor.zeros((2, 3))
+        p = TensorNormalParams(loc, f)
+        q = TensorNormalParams(loc, neg)
+        assert q.log_det == pytest.approx(p.log_det, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "factors, pivot",
+        [
+            ((np.diag([1.0, -1.0]), np.eye(2)), 1),
+            ((np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(3)), 1),
+            ((np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]])), 3),
+        ],
+    )
+    def test_non_pd_product_names_pivot(self, factors, pivot):
+        loc = DenseTensor.zeros(tuple(a.shape[0] for a in factors))
+        with pytest.raises(DefinitenessError) as info:
+            TensorNormalParams(loc, KroneckerFactors(factors))
+        assert info.value.pivot == pivot
+        assert str(info.value) == f"matrix is not positive definite: pivot {pivot} is non-positive"
+
+    def test_density_memory_stays_small(self):
+        # The dense route at 16x16x16 holds several 128 MiB matrices.
+        import tracemalloc
+
+        rng = np.random.default_rng(85)
+        f = random_spd_factors(rng, (16, 16, 16))
+        loc = DenseTensor.zeros((16, 16, 16))
+        x = random_dense(rng, (16, 16, 16))
+        tracemalloc.start()
+        try:
+            p = EllipticalParams(loc, f, StudentKernel(nu=5.0))
+            value = elliptical_log_density(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 8 * 2**20

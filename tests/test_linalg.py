@@ -10,12 +10,14 @@ from tensorstat.errors import DefinitenessError, ShapeError, SingularTensorError
 from tensorstat.linalg import (
     CholeskyFactor,
     KroneckerFactors,
+    _reciprocal_condition,
     cholesky,
     det,
     inverse,
     is_positive_definite,
     is_symmetric,
     kronecker_assemble,
+    slogdet,
 )
 from tensorstat.tensor_core import (
     DenseTensor,
@@ -143,6 +145,38 @@ class TestInverse:
         with pytest.raises(SingularTensorError) as info:
             inverse(unmatricize(m, Shape((2, 2))))
         assert info.value.rcond < 1e-12
+
+    def test_rcond_estimate_within_factor_nstar(self):
+        rng = np.random.default_rng(27)
+        for dims in SHAPES + [(4, 5)]:
+            m = matricize(well_conditioned(rng, dims))
+            sv = np.linalg.svd(m, compute_uv=False)
+            exact = sv[-1] / sv[0]
+            n = m.shape[0]
+            assert exact / n <= _reciprocal_condition(m) <= exact * n
+
+
+class TestSlogdet:
+    def test_large_identity_multiple_does_not_overflow(self):
+        x = unmatricize(10.0 * np.eye(400), Shape((20, 20)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sign, logabsdet = slogdet(x)
+        assert sign == 1.0
+        assert logabsdet == pytest.approx(400 * math.log(10.0), rel=1e-12)
+
+    def test_sign_and_singular(self):
+        assert slogdet(unmatricize(np.diag([-2.0, 3.0]), Shape((2,)))) == pytest.approx(
+            (-1.0, math.log(6.0)), rel=1e-14
+        )
+        assert slogdet(SquareTensor.zeros((2,))) == (0.0, -math.inf)
+
+    def test_matches_det(self):
+        rng = np.random.default_rng(28)
+        for dims in SHAPES:
+            x = well_conditioned(rng, dims)
+            sign, logabsdet = slogdet(x)
+            assert sign * math.exp(logabsdet) == pytest.approx(det(x), rel=1e-12)
 
 
 class TestCholesky:
