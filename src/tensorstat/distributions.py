@@ -32,14 +32,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .errors import DefinitenessError, ShapeError, SymmetryError, UnsupportedKernelError
 from .linalg import (
     SYMMETRY_TOL,
     CholeskyFactor,
     KroneckerFactors,
+    _solve_lower,
     cholesky_lower,
     kronecker_assemble,
 )
@@ -180,22 +179,33 @@ class StudentKernel(RadialKernel):
     name = "student"
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise UnsupportedKernelError("student kernel requires nu > 0")
+        # Infinite nu would be the normal kernel, but its normalizer is
+        # inf - inf here; ask for the normal kernel instead.
+        if not (self.nu > 0 and math.isfinite(self.nu)):
+            raise UnsupportedKernelError(
+                f"student kernel requires finite nu > 0, got {self.nu!r}"
+            )
 
     def log_g(self, q, nstar: int):
         return -0.5 * (self.nu + nstar) * np.log1p(q / self.nu)
 
     def log_norm_constant(self, nstar: int) -> float:
-        return float(
-            gammaln(0.5 * (self.nu + nstar))
-            - gammaln(0.5 * self.nu)
+        from scipy.special import gammaln
+
+        # Python floats: for nu beyond ~5e305 both gammaln terms are inf,
+        # and inf - inf must reach the caller's finiteness check as a NaN,
+        # not as a numpy RuntimeWarning.
+        return (
+            float(gammaln(0.5 * (self.nu + nstar)))
+            - float(gammaln(0.5 * self.nu))
             - 0.5 * nstar * math.log(self.nu * math.pi)
         )
 
     def sample_radius(self, rng: np.random.Generator, nstar: int, count: int) -> np.ndarray:
-        # Squared radius is nstar times an F(nstar, nu) variate.
-        return np.sqrt(nstar * rng.f(nstar, self.nu, size=count))
+        # Squared radius is nstar times an F(nstar, nu) variate.  At small
+        # nu the product can overflow to inf, which the sampler refuses.
+        with np.errstate(over="ignore"):
+            return np.sqrt(nstar * rng.f(nstar, self.nu, size=count))
 
     def covariance_scale(self, nstar: int):
         if self.nu > 2.0:
@@ -269,14 +279,15 @@ class EllipticalParams:
     nstar`` matricization.  That dense matrix and its Cholesky factor are
     built on first use (:attr:`scale_matrix`, :attr:`scale_tensor`,
     :attr:`chol`: the sampler and the vec-space oracle) and cached.  The
-    cached ``log_normalizer`` already includes the determinant factor of
-    the scale, so the kernel's ``log_g`` sees only the scalar quadratic
-    form.  Instances are immutable after construction.
+    :attr:`log_normalizer` already includes the determinant factor of the
+    scale, so the kernel's ``log_g`` sees only the scalar quadratic form;
+    it too is computed on first use, since sampling never needs it.
+    Instances are immutable after construction.
     """
 
     __slots__ = (
-        "location", "scale", "kernel", "log_det", "log_normalizer",
-        "_mode_lowers", "_scale_matrix", "_chol",
+        "location", "scale", "kernel", "log_det",
+        "_mode_lowers", "_scale_matrix", "_chol", "_log_normalizer",
     )
 
     def __init__(self, location: DenseTensor, scale: ScaleSpec, kernel: RadialKernel):
@@ -286,6 +297,7 @@ class EllipticalParams:
         self.kernel = kernel
         self._scale_matrix = None
         self._chol = None
+        self._log_normalizer = None
         self._mode_lowers = _factor_choleskys(scale)
         if self._mode_lowers is None:
             self.log_det = self.chol.log_det
@@ -295,9 +307,6 @@ class EllipticalParams:
                 (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
                 for low in self._mode_lowers
             )
-        self.log_normalizer = kernel.log_norm_constant(location.shape.nstar) - 0.5 * self.log_det
-        if not math.isfinite(self.log_normalizer):
-            raise ValueError("normalizing constant is not finite and positive")
 
     @property
     def shape(self) -> Shape:
@@ -306,6 +315,16 @@ class EllipticalParams:
     @property
     def nstar(self) -> int:
         return self.location.shape.nstar
+
+    @property
+    def log_normalizer(self) -> float:
+        """Log of the density's constant factor, determinant included."""
+        if self._log_normalizer is None:
+            value = self.kernel.log_norm_constant(self.nstar) - 0.5 * self.log_det
+            if not math.isfinite(value):
+                raise ValueError("normalizing constant is not finite and positive")
+            self._log_normalizer = value
+        return self._log_normalizer
 
     @property
     def scale_matrix(self) -> np.ndarray:
@@ -345,7 +364,7 @@ class EllipticalParams:
         z = dev.reshape(self.shape.dims + dev.shape[1:], order="F")
         for mode, low in enumerate(self._mode_lowers):
             moved = np.moveaxis(z, mode, 0)
-            solved = solve_triangular(low, moved.reshape(low.shape[0], -1), lower=True)
+            solved = _solve_lower(low, moved.reshape(low.shape[0], -1))
             z = np.moveaxis(solved.reshape(moved.shape), 0, mode)
         return z.reshape(dev.shape, order="F")
 
@@ -427,6 +446,13 @@ def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int
     if count < 0:
         raise ValueError("count must be non-negative")
     w = kernel._standard_draws(seed.generator(), p.nstar, count)
+    # A radial variable that overflows (Student-t with tiny nu) would turn
+    # into rows of NaN in the product below.
+    if not np.isfinite(w).all():
+        raise UnsupportedKernelError(
+            f"{kernel!r} drew a non-finite standardized value at nstar={p.nstar}; "
+            "its radial variable overflows float64"
+        )
     return SampleSet._wrap(vec(p.location) + w @ p.chol.lower.T, p.shape)
 
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgecon, dgetrf
 
 from .errors import DefinitenessError, ShapeError, SingularTensorError, SymmetryError
 from .tensor_core import Shape, SquareTensor, _require_finite, matricize, transpose2d, unmatricize
@@ -59,7 +57,21 @@ def slogdet(x: SquareTensor) -> tuple[float, float]:
     return float(sign), float(logabsdet)
 
 
+# scipy is imported inside the functions that call it, not at module
+# level: it takes most of the package's import time, and ``det``,
+# ``matricize``, ``estimate`` and ``sample`` never call it.
+
+
+def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``low @ z = rhs`` by forward substitution (``rhs`` 1-D or 2-D)."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(low, rhs, lower=True)
+
+
 def _reciprocal_condition(m: np.ndarray) -> float:
+    from scipy.linalg.lapack import dgecon, dgetrf
+
     # LAPACK's 1-norm estimate from an LU factorization: O(n^2) on top of
     # the O(n^3) LU, against a full SVD.  The 1-norm condition number is
     # within a factor n of the 2-norm one, so the estimate can differ from
@@ -109,7 +121,7 @@ class CholeskyFactor:
 
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``lower @ z = rhs`` by forward substitution."""
-        return solve_triangular(self.lower, rhs, lower=True)
+        return _solve_lower(self.lower, rhs)
 
 
 def _first_nonpositive_pivot(m: np.ndarray) -> int:

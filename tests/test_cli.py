@@ -483,6 +483,64 @@ class TestSample:
         np.testing.assert_allclose(got, matricize(scale), atol=0.12)
 
 
+
+class TestStudentDegreesOfFreedom:
+    """Extreme ``student:NU`` end with one error line, never a warning or NaN."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        params = tmp_path / "p.json"
+        write_params(str(params), DenseTensor.zeros((2, 2)), SquareTensor.identity((2, 2)))
+        point = tmp_path / "pt.json"
+        write_tensor(str(point), DenseTensor([0.5, -1.0, 0.25, 2.0], (2, 2)))
+        return str(params), str(point), tmp_path / "s.json"
+
+    @staticmethod
+    def assert_one_error_line(err, *words):
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    @pytest.mark.parametrize("nu", ["inf", "nan"])
+    def test_non_finite_nu_exits_2(self, capsys, files, nu):
+        params, point, out_path = files
+        code, out, err = run(capsys, "density", params, point, "--family", f"student:{nu}")
+        assert (code, out) == (2, "")
+        self.assert_one_error_line(err, "nu", nu)
+        code, out, err = run(
+            capsys, "sample", params, str(out_path), "--count", "3", "--family", f"student:{nu}"
+        )
+        assert (code, out) == (2, "")
+        self.assert_one_error_line(err, "nu", nu)
+        assert not out_path.exists()
+
+    def test_tiny_nu_density_is_finite(self, capsys, files):
+        params, point, _ = files
+        code, out, err = run(
+            capsys, "density", params, point, "--family", "student:1e-300", "--log"
+        )
+        assert (code, err) == (0, "")
+        assert math.isfinite(float(out))
+
+    # At 1e-300 the F variates are inf; at 0.01 (seed 17) one is finite
+    # but nstar times it overflows.
+    @pytest.mark.parametrize("nu, count, seed", [("1e-300", "3", "0"), ("0.01", "200", "17")])
+    def test_tiny_nu_sample_exits_2_without_a_file(self, capsys, files, nu, count, seed):
+        params, _, out_path = files
+        code, out, err = run(
+            capsys, "sample", params, str(out_path), "--count", count, "--seed", seed,
+            "--family", f"student:{nu}",
+        )
+        assert (code, out) == (2, "")
+        self.assert_one_error_line(err, f"nu={nu}")
+        assert not out_path.exists()
+
+    def test_huge_nu_density_normalizer_exits_2(self, capsys, files):
+        params, point, _ = files
+        code, out, err = run(capsys, "density", params, point, "--family", "student:1e307")
+        assert (code, out) == (2, "")
+        self.assert_one_error_line(err, "normalizing constant")
+
 class TestVerifyCommand:
     def test_bad_shape_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--shape", "2xx", "--n", "10")

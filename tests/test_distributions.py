@@ -98,6 +98,11 @@ class TestKernels:
         with pytest.raises(UnsupportedKernelError):
             StudentKernel(nu=0.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
+    def test_student_requires_finite_nu(self, nu):
+        with pytest.raises(UnsupportedKernelError, match="finite nu"):
+            StudentKernel(nu=nu)
+
     def test_covariance_scale(self):
         assert NormalKernel().covariance_scale(4) == 1.0
         assert StudentKernel(nu=5.0).covariance_scale(4) == pytest.approx(5.0 / 3.0)
@@ -340,6 +345,14 @@ class TestElliptical:
             DenseTensor.zeros((2,)), SquareTensor.identity((2,)), StudentKernel(nu=3.0)
         )
         assert len(elliptical_sample(pe, RngSeed(1), 0)) == 0
+
+    def test_overflowing_radius_is_refused(self):
+        # F(nstar, 1e-300) variates are inf; the product with L would be NaN.
+        pe = EllipticalParams(
+            DenseTensor.zeros((2,)), SquareTensor.identity((2,)), StudentKernel(nu=1e-300)
+        )
+        with pytest.raises(UnsupportedKernelError, match="nu=1e-300"):
+            elliptical_sample(pe, RngSeed(1), 4)
 
     def test_deterministic(self):
         pe = EllipticalParams(
