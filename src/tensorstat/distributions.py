@@ -5,7 +5,7 @@ multivariate normal with the matricized scale as covariance; the density
 can equivalently be written through the double-dot quadratic form of the
 deviation against the inverse scale.  Both routes live here: the fast
 path computes the quadratic form through a cached Cholesky factor (one
-triangular solve, never an explicit inverse), and a deliberately
+solve against the factor, never an explicit inverse), and a deliberately
 independent vec-space oracle re-derives everything through LU so the
 equivalence stays testable.
 
@@ -38,7 +38,6 @@ from .linalg import (
     SYMMETRY_TOL,
     CholeskyFactor,
     KroneckerFactors,
-    _solve_lower,
     cholesky_lower,
     kronecker_assemble,
 )
@@ -187,19 +186,21 @@ class StudentKernel(RadialKernel):
             )
 
     def log_g(self, q, nstar: int):
-        return -0.5 * (self.nu + nstar) * np.log1p(q / self.nu)
+        ratio = float(q) / self.nu
+        if math.isfinite(ratio):
+            return -0.5 * (self.nu + nstar) * np.log1p(ratio)
+        # q / nu overflows at tiny nu; the same logarithm without the quotient.
+        log1p_ratio = math.log(q) - math.log(self.nu) + math.log1p(self.nu / q)
+        return -0.5 * (self.nu + nstar) * log1p_ratio
 
     def log_norm_constant(self, nstar: int) -> float:
-        from scipy.special import gammaln
-
-        # Python floats: for nu beyond ~5e305 both gammaln terms are inf,
-        # and inf - inf must reach the caller's finiteness check as a NaN,
-        # not as a numpy RuntimeWarning.
-        return (
-            float(gammaln(0.5 * (self.nu + nstar)))
-            - float(gammaln(0.5 * self.nu))
-            - 0.5 * nstar * math.log(self.nu * math.pi)
-        )
+        # math.lgamma raises OverflowError for nu beyond ~5e305, where the
+        # log-gamma terms exceed float64; the caller refuses the inf.
+        try:
+            log_gamma_ratio = math.lgamma(0.5 * (self.nu + nstar)) - math.lgamma(0.5 * self.nu)
+        except OverflowError:
+            return math.inf
+        return log_gamma_ratio - 0.5 * nstar * math.log(self.nu * math.pi)
 
     def sample_radius(self, rng: np.random.Generator, nstar: int, count: int) -> np.ndarray:
         # Squared radius is nstar times an F(nstar, nu) variate.  At small
@@ -364,7 +365,7 @@ class EllipticalParams:
         z = dev.reshape(self.shape.dims + dev.shape[1:], order="F")
         for mode, low in enumerate(self._mode_lowers):
             moved = np.moveaxis(z, mode, 0)
-            solved = _solve_lower(low, moved.reshape(low.shape[0], -1))
+            solved = np.linalg.solve(low, moved.reshape(low.shape[0], -1))
             z = np.moveaxis(solved.reshape(moved.shape), 0, mode)
         return z.reshape(dev.shape, order="F")
 
@@ -391,7 +392,7 @@ def _deviation(p, x: DenseTensor) -> np.ndarray:
 
 def _quadratic_form(p: EllipticalParams, x: DenseTensor) -> float:
     # Deviation against the inverse scale through the cached Cholesky
-    # factors (triangular solves); the explicit inverse is never formed.
+    # factors (solves against L); the explicit inverse is never formed.
     z = p._whiten(_deviation(p, x))
     return float(z @ z)
 

@@ -12,8 +12,8 @@ class ShapeError(TensorStatError, ValueError):
 class SingularTensorError(TensorStatError, ValueError):
     """The matricization is singular or too ill-conditioned to invert.
 
-    ``rcond`` carries the reciprocal condition estimate that triggered
-    the refusal.
+    ``rcond`` carries the 1-norm reciprocal condition number that
+    triggered the refusal (``0.0`` for an exactly singular matrix).
     """
 
     def __init__(self, message, rcond=None):

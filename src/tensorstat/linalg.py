@@ -34,7 +34,7 @@ __all__ = [
     "is_positive_definite",
 ]
 
-# Reciprocal condition estimates below this refuse inversion: downstream
+# Reciprocal condition numbers below this refuse inversion: downstream
 # density code must never see a near-singular scale silently.
 RCOND_LIMIT = 1e-12
 
@@ -43,8 +43,9 @@ SYMMETRY_TOL = 1e-10
 
 
 def det(x: SquareTensor) -> float:
-    """Signed determinant of the matricization."""
-    return float(np.linalg.det(matricize(x)))
+    """Signed determinant of the matricization; ``inf`` once it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(matricize(x)))
 
 
 def slogdet(x: SquareTensor) -> tuple[float, float]:
@@ -57,50 +58,36 @@ def slogdet(x: SquareTensor) -> tuple[float, float]:
     return float(sign), float(logabsdet)
 
 
-# scipy is imported inside the functions that call it, not at module
-# level: it takes most of the package's import time, and ``det``,
-# ``matricize``, ``estimate`` and ``sample`` never call it.
-
-
-def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``low @ z = rhs`` by forward substitution (``rhs`` 1-D or 2-D)."""
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(low, rhs, lower=True)
-
-
-def _reciprocal_condition(m: np.ndarray) -> float:
-    from scipy.linalg.lapack import dgecon, dgetrf
-
-    # LAPACK's 1-norm estimate from an LU factorization: O(n^2) on top of
-    # the O(n^3) LU, against a full SVD.  The 1-norm condition number is
-    # within a factor n of the 2-norm one, so the estimate can differ from
-    # sigma_min / sigma_max by about that much either way.
-    anorm = float(np.abs(m).sum(axis=0).max())
-    lu, _piv, info = dgetrf(m)
-    if info != 0 or not math.isfinite(anorm) or anorm == 0.0:
-        return 0.0
-    rcond, info = dgecon(lu, anorm, norm="1")
-    return float(rcond) if info == 0 and math.isfinite(rcond) else 0.0
+def _inverse_and_rcond(m: np.ndarray) -> tuple[np.ndarray | None, float]:
+    # The exact 1-norm reciprocal condition 1 / (|m|_1 |m^-1|_1), from the
+    # inverse that is returned anyway.  It is never larger than LAPACK's
+    # estimate, and the 1-norm condition number is within a factor n of
+    # the 2-norm one.  A singular or overflowing inverse gives 0.0.
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    with np.errstate(all="ignore"):
+        rcond = float(1.0 / (np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()))
+    return inv, (rcond if math.isfinite(rcond) else 0.0)
 
 
 def inverse(x: SquareTensor) -> SquareTensor:
     """Tensor whose contraction with ``x`` on either side is the identity.
 
     Refuses near-singular input rather than returning garbage: if the
-    reciprocal condition estimate of the matricization falls below
-    ``RCOND_LIMIT``, a :class:`SingularTensorError` carrying the estimate
-    is raised.
+    exact 1-norm reciprocal condition number of the matricization falls
+    below ``RCOND_LIMIT``, a :class:`SingularTensorError` carrying it is
+    raised.
     """
-    m = matricize(x)
-    rcond = _reciprocal_condition(m)
+    inv, rcond = _inverse_and_rcond(matricize(x))
     if not rcond >= RCOND_LIMIT:
         raise SingularTensorError(
             f"matricization is singular or ill-conditioned: reciprocal "
-            f"condition estimate {rcond:.3e} is below {RCOND_LIMIT:g}",
+            f"condition number {rcond:.3e} is below {RCOND_LIMIT:g}",
             rcond=rcond,
         )
-    return unmatricize(np.linalg.inv(m), x.row_shape)
+    return unmatricize(inv, x.row_shape)
 
 
 @dataclass(frozen=True)
@@ -120,8 +107,8 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``lower @ z = rhs`` by forward substitution."""
-        return _solve_lower(self.lower, rhs)
+        """Solve ``lower @ z = rhs`` (``rhs`` 1-D or 2-D) against the factor."""
+        return np.linalg.solve(self.lower, rhs)
 
 
 def _first_nonpositive_pivot(m: np.ndarray) -> int:

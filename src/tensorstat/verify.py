@@ -429,8 +429,8 @@ def _check_density_normalization(rng, shape, n):
         unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), grid_shape),
     )
     axis = np.linspace(-8.0, 8.0, 1601)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    # (x_i, y_j) rows, x slowest; the meshgrid arrays die right away.
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     dens = np.exp(normal_log_density_batch(p, pts)).reshape(1601, 1601)
     integral = float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis, axis=0))
     return abs(integral - 1.0), pts.shape[0]

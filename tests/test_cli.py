@@ -102,10 +102,10 @@ class TestDet:
     def test_overflow_plain_and_log(self, capsys, tmp_path):
         path = tmp_path / "big.bin"
         write_tensor(str(path), unmatricize(10.0 * np.eye(400), Shape((20, 20))), binary=True)
-        with np.errstate(over="ignore"):
-            code, out, _ = run(capsys, "det", str(path))
+        code, out, err = run(capsys, "det", str(path))
         assert code == 0
         assert out == "inf\n"
+        assert err == ""
         code, out, _ = run(capsys, "det", "--log", str(path))
         assert code == 0
         sign, logabsdet = out.splitlines()
@@ -521,6 +521,28 @@ class TestStudentDegreesOfFreedom:
         )
         assert (code, err) == (0, "")
         assert math.isfinite(float(out))
+
+    def test_tiny_nu_far_point_density_is_finite(self, capsys, tmp_path):
+        # q / nu = 2e10 / 1e-300 overflows float64; the log-density does not.
+        params, point = tmp_path / "p.json", tmp_path / "far.json"
+        write_params(str(params), DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
+        write_tensor(str(point), DenseTensor([1e5, -1e5], (2,)))
+        nu, q = 1e-300, 2e10
+        expected = (
+            math.lgamma(1.0 + nu / 2) - math.lgamma(nu / 2) - math.log(nu * math.pi)
+            - (1.0 + nu / 2) * (math.log(q) - math.log(nu))
+        )
+        code, out, err = run(
+            capsys, "density", str(params), str(point), "--family", "student:1e-300", "--log"
+        )
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(expected, rel=1e-12)
+        assert float(out) == pytest.approx(-716.33, abs=0.01)
+        code, out, err = run(
+            capsys, "density", str(params), str(point), "--family", "student:1e-300"
+        )
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(math.exp(expected), rel=1e-9)
 
     # At 1e-300 the F variates are inf; at 0.01 (seed 17) one is finite
     # but nstar times it overflows.

@@ -8,9 +8,10 @@ import pytest
 
 from tensorstat.errors import DefinitenessError, ShapeError, SingularTensorError, SymmetryError
 from tensorstat.linalg import (
+    RCOND_LIMIT,
     CholeskyFactor,
     KroneckerFactors,
-    _reciprocal_condition,
+    _inverse_and_rcond,
     cholesky,
     det,
     inverse,
@@ -153,7 +154,30 @@ class TestInverse:
             sv = np.linalg.svd(m, compute_uv=False)
             exact = sv[-1] / sv[0]
             n = m.shape[0]
-            assert exact / n <= _reciprocal_condition(m) <= exact * n
+            assert exact / n <= _inverse_and_rcond(m)[1] <= exact * n
+
+    def test_subnormal_pivot_refused_with_zero_rcond(self):
+        # The inverse overflows to inf; the refusal carries 0.0, not NaN.
+        m = np.diag([1.0, 1.0, 1.0, 1e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularTensorError) as info:
+                inverse(unmatricize(m, Shape((2, 2))))
+        assert info.value.rcond == 0.0
+
+    def test_rank_deficient_refused(self):
+        # Exactly singular LU (rcond 0.0) and rank deficient up to rounding.
+        rng = np.random.default_rng(28)
+        cases = [((2,), np.array([[1.0, 2.0], [2.0, 4.0]]))]
+        for dims in [(2, 2), (2, 3)]:
+            v = rng.standard_normal((math.prod(dims), math.prod(dims) - 1))
+            cases.append((dims, v @ v.T))
+        for dims, m in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularTensorError) as info:
+                    inverse(unmatricize(m, Shape(dims)))
+            assert info.value.rcond < RCOND_LIMIT
 
 
 class TestSlogdet:
