@@ -18,11 +18,12 @@ space, since the linear density underflows quickly as ``nstar`` grows;
 linear-space wrappers are thin exponentials.
 
 Scales may be dense square tensors or per-mode Kronecker factor lists.
-A Kronecker scale stays factored: its log-determinant and quadratic forms
-come from one Cholesky factor per mode, and the dense matricization is
-assembled only for what needs it (sampling, the oracle, the dense scale
-accessors).  Both parameterizations describe one effective matricization,
-and ``kronecker_equivalence_check`` compares their densities.
+A Kronecker scale stays factored: its log-determinant, quadratic forms
+and samples come from one Cholesky factor per mode, and the dense
+matricization is assembled only for what needs it (the oracle and the
+dense scale accessors).  Both parameterizations describe one effective
+matricization, and ``kronecker_equivalence_check`` compares their
+densities.
 """
 
 from __future__ import annotations
@@ -274,12 +275,13 @@ class EllipticalParams:
 
     A dense scale is symmetrized and Cholesky-factored here.  A Kronecker
     scale is kept factored: each mode's factor gets its own Cholesky
-    factor, the log-determinant is ``sum_k (nstar / n_k) log det A_k`` and
-    quadratic forms whiten the deviation one mode at a time, so building
-    the parameters and evaluating a density never form the ``nstar x
-    nstar`` matricization.  That dense matrix and its Cholesky factor are
-    built on first use (:attr:`scale_matrix`, :attr:`scale_tensor`,
-    :attr:`chol`: the sampler and the vec-space oracle) and cached.  The
+    factor, the log-determinant is ``sum_k (nstar / n_k) log det A_k``,
+    quadratic forms whiten the deviation one mode at a time and samples
+    apply the factors one mode at a time, so building the parameters,
+    evaluating a density and sampling never form the ``nstar x nstar``
+    matricization.  That dense matrix and its Cholesky factor are built on
+    first use (:attr:`scale_matrix`, :attr:`scale_tensor`, :attr:`chol`:
+    the vec-space oracle, and the sampler for a dense scale) and cached.  The
     :attr:`log_normalizer` already includes the determinant factor of the
     scale, so the kernel's ``log_g`` sees only the scalar quadratic form;
     it too is computed on first use, since sampling never needs it.
@@ -355,19 +357,24 @@ class EllipticalParams:
         """Dense square-tensor view of the effective scale."""
         return unmatricize(self.scale_matrix, self.shape)
 
-    def _whiten(self, dev: np.ndarray) -> np.ndarray:
-        # Solve L z = dev for vec-order columns ``dev`` (shape (nstar,) or
-        # (nstar, N)).  A Kronecker scale's L is the Kronecker product of
-        # the per-mode factors, so the solve runs along each mode of the
-        # column-major multi-index array in turn.
-        if self._mode_lowers is None:
-            return self.chol.solve_lower(dev)
-        z = dev.reshape(self.shape.dims + dev.shape[1:], order="F")
+    def _along_modes(self, op, cols: np.ndarray) -> np.ndarray:
+        # Apply ``op(L_k, .)`` along each mode k of vec-order columns
+        # ``cols`` (shape (nstar,) or (nstar, N)), viewed as the column-major
+        # multi-index array.  A Kronecker scale's L is the Kronecker product
+        # of the per-mode factors, so ``np.matmul`` gives L @ cols and
+        # ``np.linalg.solve`` gives L^-1 @ cols.
+        z = cols.reshape(self.shape.dims + cols.shape[1:], order="F")
         for mode, low in enumerate(self._mode_lowers):
             moved = np.moveaxis(z, mode, 0)
-            solved = np.linalg.solve(low, moved.reshape(low.shape[0], -1))
-            z = np.moveaxis(solved.reshape(moved.shape), 0, mode)
-        return z.reshape(dev.shape, order="F")
+            done = op(low, moved.reshape(low.shape[0], -1))
+            z = np.moveaxis(done.reshape(moved.shape), 0, mode)
+        return z.reshape(cols.shape, order="F")
+
+    def _whiten(self, dev: np.ndarray) -> np.ndarray:
+        # Solve L z = dev for vec-order columns ``dev``.
+        if self._mode_lowers is None:
+            return self.chol.solve_lower(dev)
+        return self._along_modes(np.linalg.solve, dev)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
@@ -454,15 +461,25 @@ def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int
             f"{kernel!r} drew a non-finite standardized value at nstar={p.nstar}; "
             "its radial variable overflows float64"
         )
-    return SampleSet._wrap(vec(p.location) + w @ p.chol.lower.T, p.shape)
+    if p._mode_lowers is None:
+        rows = w @ p.chol.lower.T
+    else:
+        # The Kronecker product of the per-mode lower factors is lower
+        # triangular with a positive diagonal, so it is the Cholesky factor
+        # of the Kronecker scale; apply it one mode at a time.
+        rows = p._along_modes(np.matmul, w.T).T
+    rows += vec(p.location)
+    return SampleSet._wrap(rows, p.shape)
 
 
 def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
     """Draw ``count`` tensors: location plus the Cholesky image of white noise.
 
     Uses the Gaussian law of ``p``'s location and scale, whatever its
-    kernel.  Deterministic for a given ``(seed, stream)``: identical inputs
-    yield bit-identical sample sets.
+    kernel.  The Cholesky factor is the dense one of a dense scale, or one
+    per mode of a Kronecker scale (see :func:`elliptical_sample`).
+    Deterministic for a given ``(seed, stream)``: identical inputs yield
+    bit-identical sample sets.
     """
     return _sample(p, NormalKernel(), seed, count)
 
@@ -483,8 +500,11 @@ def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleS
     ``L`` is the Cholesky factor of the scale matricization and ``w`` the
     kernel's standardized draw: ``R * u`` with ``u`` uniform on the unit
     sphere in ``nstar`` dimensions and ``R`` the kernel's radial variable,
-    or white noise for the normal kernel.  Kernels without a registered
-    sampler raise :class:`UnsupportedKernelError`.
+    or white noise for the normal kernel.  For a Kronecker scale ``L`` is
+    the Kronecker product of the per-mode lower factors, applied one mode
+    at a time; it is never assembled, so the draws match those of the
+    assembled dense scale within rounding, not bit for bit.  Kernels
+    without a registered sampler raise :class:`UnsupportedKernelError`.
     """
     return _sample(p, p.kernel, seed, count)
 

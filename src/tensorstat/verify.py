@@ -482,15 +482,21 @@ def _check_elliptical_student_cov(rng, shape, n):
 def _check_sampling_determinism(rng, shape, n):
     p = TensorNormalParams(_pattern_location(shape), _unit_scale_spd(shape))
     seed = RngSeed(int(rng.integers(2**63)), 3)
-    a = normal_sample(p, seed, 64).to_matrix()
-    b = normal_sample(p, seed, 64).to_matrix()
-    if not np.array_equal(a, b):
-        return float(np.abs(a - b).max()), 64
-    pe = EllipticalParams(p.location, p.scale_tensor, StudentKernel(nu=5.0))
-    c = elliptical_sample(pe, seed, 64).to_matrix()
-    d = elliptical_sample(pe, seed, 64).to_matrix()
-    if not np.array_equal(c, d):
-        return float(np.abs(c - d).max()), 64
+    factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
+    student = StudentKernel(nu=5.0)
+    # Dense scales sample through the dense Cholesky factor, Kronecker
+    # scales one mode at a time; both must repeat bit for bit.
+    cases = (
+        (normal_sample, p),
+        (elliptical_sample, EllipticalParams(p.location, p.scale_tensor, student)),
+        (elliptical_sample, EllipticalParams(p.location, factors, NormalKernel())),
+        (elliptical_sample, EllipticalParams(p.location, factors, student)),
+    )
+    for draw, params in cases:
+        a = draw(params, seed, 64).to_matrix()
+        b = draw(params, seed, 64).to_matrix()
+        if not np.array_equal(a, b):
+            return float(np.abs(a - b).max()), 64
     return 0.0, 64
 
 

@@ -572,15 +572,59 @@ class TestStructuredKronecker:
         assert math.isfinite(elliptical_log_density(pe, x))
         assert np.isfinite(normal_log_density_batch(p, rng.standard_normal((3, 24)))).all()
 
+    @pytest.mark.parametrize("count", [0, 20])
+    @pytest.mark.parametrize(
+        "dims", [(3,), (2, 3), (2, 3, 4), (2, 1, 3)], ids=["3", "2x3", "2x3x4", "2x1x3"]
+    )
     @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
-    def test_sample_uses_dense_cholesky(self, kernel):
+    def test_sample_matches_dense_cholesky(self, kernel, dims, count):
+        # The same law as the dense Cholesky factor of the assembled scale;
+        # only the rounding of the per-mode products differs.
         rng = np.random.default_rng(83)
-        f = random_spd_factors(rng, (2, 3, 2))
-        loc = random_dense(rng, (2, 3, 2))
+        f = random_spd_factors(rng, dims)
+        loc = random_dense(rng, dims)
         p = EllipticalParams(loc, f, kernel)
-        got = elliptical_sample(p, RngSeed(5), 20).to_matrix()
-        w = kernel._standard_draws(RngSeed(5).generator(), p.nstar, 20)
+        got = elliptical_sample(p, RngSeed(5), count).to_matrix()
+        w = kernel._standard_draws(RngSeed(5).generator(), p.nstar, count)
         want = vec(loc) + w @ np.linalg.cholesky(kronecker_assemble(f)).T
+        assert got.shape == want.shape == (count, p.nstar)
+        worst = np.abs(got - want).max(initial=0.0)
+        assert worst <= 1e-12 * np.abs(want).max(initial=1.0)
+
+    @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
+    def test_sample_is_deterministic(self, kernel):
+        rng = np.random.default_rng(86)
+        f = random_spd_factors(rng, (3, 2, 4))
+        p = EllipticalParams(random_dense(rng, (3, 2, 4)), f, kernel)
+        a = elliptical_sample(p, RngSeed(9, 2), 40).to_matrix()
+        b = elliptical_sample(p, RngSeed(9, 2), 40).to_matrix()
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
+    def test_sample_never_assembles(self, monkeypatch, kernel):
+        import tensorstat.distributions as dist
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(dist, "kronecker_assemble", refuse)
+        monkeypatch.setattr(dist, "cholesky_lower", refuse)
+        rng = np.random.default_rng(87)
+        f = random_spd_factors(rng, (2, 3, 4))
+        p = EllipticalParams(random_dense(rng, (2, 3, 4)), f, kernel)
+        assert np.isfinite(elliptical_sample(p, RngSeed(1), 10).to_matrix()).all()
+        assert np.isfinite(normal_sample(p, RngSeed(1), 10).to_matrix()).all()
+
+    def test_negated_factors_sample_densely(self):
+        # (-A, -B) has no per-mode Cholesky factors, so it keeps the dense route.
+        rng = np.random.default_rng(88)
+        f = random_spd_factors(rng, (2, 3))
+        neg = KroneckerFactors(tuple(-a for a in f.factors))
+        loc = random_dense(rng, (2, 3))
+        p = TensorNormalParams(loc, neg)
+        got = normal_sample(p, RngSeed(4), 15).to_matrix()
+        w = NormalKernel()._standard_draws(RngSeed(4).generator(), p.nstar, 15)
+        want = vec(loc) + w @ np.linalg.cholesky(kronecker_assemble(neg)).T
         np.testing.assert_array_equal(got, want)
 
     def test_negated_factors_accepted(self):
@@ -624,3 +668,21 @@ class TestStructuredKronecker:
             tracemalloc.stop()
         assert math.isfinite(value)
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
+    def test_sample_memory_stays_small(self, kernel):
+        # The dense factor at 16x16x16 alone is 128 MiB; 50 rows are 1.6 MiB.
+        import tracemalloc
+
+        rng = np.random.default_rng(89)
+        f = random_spd_factors(rng, (16, 16, 16))
+        loc = DenseTensor.zeros((16, 16, 16))
+        tracemalloc.start()
+        try:
+            p = EllipticalParams(loc, f, kernel)
+            rows = elliptical_sample(p, RngSeed(6), 50).to_matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rows).all()
+        assert peak < 16 * 2**20

@@ -1,12 +1,17 @@
 """Pinned sha256 digests of ``sample`` output files.
 
-The digests were taken from the per-observation implementation, before
-sample sets were stored as one block, so they pin both the draws and the
-byte layout of the JSON and binary writers.  The scales are diagonal with
-distinct entries and the locations have a distinct value per cell: any
-change to the cell order, the observation order or the number formatting
-changes the bytes, while the products ``z @ L.T`` stay exact and so do not
-depend on the BLAS kernel that computes them.
+They pin the draws and the byte layout of the JSON and binary writers.
+The scales are diagonal with distinct entries and the locations have a
+distinct value per cell: any change to the cell order, the observation
+order or the number formatting changes the bytes.  With diagonal factors
+no rounded sum enters an entry, so the digests do not depend on the BLAS
+kernel that computes the products.
+
+The 2x2 files use a dense scale and the dense Cholesky route (``z @ L.T``);
+their digests date from the per-observation implementation.  The 16x16x4
+files use a Kronecker scale, whose draws are multiplied by one lower factor
+per mode in mode order; each entry is rounded once per mode, so these
+digests differ from the dense route's bytes for the same law.
 """
 
 import hashlib
@@ -24,8 +29,8 @@ SEED = "20211"
 DIGESTS = {
     ("2x2", "normal"): "f25315eae431e6e12248077a41dbec063a931277ce6fb5ddd9c00418d5c538fa",
     ("2x2", "student:5"): "012d7cb6e1ddf133905731c0a96408fcb8ad9a10afb9cc8c80ea6978d961de89",
-    ("16x16x4", "normal"): "e542d87d94889ca9e1d67f5e7cb6b51de1d5914a732ab371f2485a285efa5dd1",
-    ("16x16x4", "student:5"): "aad8b8cbf9462fa15b3b96f01ca9f69585a26c1bb973f9c51d327d966010d81f",
+    ("16x16x4", "normal"): "a946d1b47042de4fe3e7c5c722b21c57992b8b222863dea4820557bbe0908a98",
+    ("16x16x4", "student:5"): "7b1ebd773e81affeedc69aac15cb68e1ec88f5bd8d4b4c4067dbfafabb9af4d8",
 }
 
 
