@@ -178,7 +178,7 @@ def _cmd_estimate(args) -> int:
     elif args.kind == "corr":
         result = correlation(samples).value
     else:
-        other = _read_samples(args.other) if args.other else _read_samples(args.input)
+        other = _read_samples(args.other) if args.other else samples
         result = cross_covariance(samples, other, args.normalization).value
     write_tensor(args.output, result, binary=_binary_output(args.output, args.binary))
     if isinstance(result, SquareTensor):

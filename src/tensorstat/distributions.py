@@ -557,10 +557,12 @@ def kronecker_equivalence_check(
             f"parameter shapes {dense.shape} and {structured.shape} do not match"
         )
     points = normal_sample(dense, seed, probes)
-    worst = 0.0
-    for x in points:
-        dev = abs(normal_log_density(dense, x) - normal_log_density(structured, x))
-        worst = max(worst, dev)
+    devs = [
+        abs(normal_log_density(dense, x) - normal_log_density(structured, x))
+        for x in points
+    ]
+    # np.max propagates NaN, so a NaN deviation is reported and fails.
+    worst = float(np.max(devs, initial=0.0))
     return EquivalenceReport(
         probes=probes,
         max_abs_deviation=worst,

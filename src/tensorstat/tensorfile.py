@@ -87,8 +87,9 @@ def _parse_json(raw: bytes):
 
 
 def _require_dims(dims) -> tuple[int, ...]:
+    # type() and not isinstance(): JSON true is a bool, and bool is an int.
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(n, int) and n >= 1 for n in dims
+        type(n) is int and n >= 1 for n in dims
     ):
         raise FileFormatError(f"shape must be a non-empty list of positive integers, got {dims!r}")
     return tuple(dims)

@@ -183,6 +183,31 @@ class TestEstimate:
         assert run(capsys, "estimate", src, str(cross_path), "--kind", "crosscov")[0] == 0
         assert cov_path.read_bytes() == cross_path.read_bytes()
 
+    def test_self_crosscov_reads_its_input_once(self, capsys, tmp_path, monkeypatch):
+        import tensorstat.cli as cli
+
+        src = self.write_samples(tmp_path, np.eye(3), (3,))
+        paths = []
+
+        def counting_read(path):
+            paths.append(path)
+            return read_sample_set(path)
+
+        monkeypatch.setattr(cli, "read_sample_set", counting_read)
+        dst = tmp_path / "cross.json"
+        assert run(capsys, "estimate", src, str(dst), "--kind", "crosscov")[0] == 0
+        assert paths == [src]
+
+        # Read twice, stdin would be empty the second time.
+        class FakeStdin:
+            buffer = io.BytesIO((tmp_path / "s.json").read_bytes())
+
+        monkeypatch.setattr("sys.stdin", FakeStdin())
+        piped = tmp_path / "piped.json"
+        assert run(capsys, "estimate", "-", str(piped), "--kind", "crosscov")[0] == 0
+        assert paths == [src, "-"]
+        assert piped.read_bytes() == dst.read_bytes()
+
     def test_crosscov_with_other(self, capsys, tmp_path):
         rng = np.random.default_rng(201)
         a = self.write_samples(tmp_path, rng.standard_normal((5, 2)), (2,), "a.json")
@@ -227,15 +252,19 @@ class TestEstimate:
         assert "unpack" not in err and len(err.splitlines()) == 1
 
     def test_shape_disagreement_exits_2(self, capsys, tmp_path):
-        objs = [
+        mixed = [
             tensor_to_obj(DenseTensor([1.0, 2.0], (2,))),
             tensor_to_obj(DenseTensor([1.0, 2.0, 3.0], (3,))),
         ]
+        # JSON true is not a dimension, though Python's bool is an int.
+        obs = {"kind": "tensor", "shape": [True, 2], "data": [1.0, 2.0]}
+        boolean = {"kind": "samples", "shape": [True, 2], "observations": [obs, obs]}
         path = tmp_path / "bad.json"
-        write_json(path, objs)
         dst = tmp_path / "out.json"
-        code, _, _ = run(capsys, "estimate", str(path), str(dst), "--kind", "cov")
-        assert code == 2
+        for doc in (mixed, boolean):
+            write_json(path, doc)
+            code, _, err = run(capsys, "estimate", str(path), str(dst), "--kind", "cov")
+            assert code == 2, err
 
     def test_single_sample_unbiased_exits_2(self, capsys, tmp_path):
         src = self.write_samples(tmp_path, [[1.0]], (1,))

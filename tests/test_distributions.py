@@ -487,6 +487,23 @@ class TestKroneckerEquivalence:
         assert report.probes == 100
         assert report.passed
 
+    def test_nan_deviation_fails(self, monkeypatch):
+        import tensorstat.distributions as dist
+
+        shape = Shape((2, 2))
+        f = KroneckerFactors((np.eye(2), np.eye(2)))
+        dense = TensorNormalParams(DenseTensor.zeros(shape), SquareTensor.identity(shape))
+        structured = TensorNormalParams(DenseTensor.zeros(shape), f)
+        exact = dist.normal_log_density
+        monkeypatch.setattr(
+            dist,
+            "normal_log_density",
+            lambda p, x: math.nan if p is structured else exact(p, x),
+        )
+        report = kronecker_equivalence_check(dense, structured, probes=5, seed=RngSeed(9))
+        assert math.isnan(report.max_abs_deviation)
+        assert not report.passed
+
     def test_shape_mismatch(self):
         a = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
         b = TensorNormalParams(DenseTensor.zeros((3,)), SquareTensor.identity((3,)))

@@ -76,6 +76,10 @@ class TestJsonTensor:
             json.dumps({"kind": "weird", "shape": [2], "data": [1.0, 2.0]}).encode(),
             json.dumps({"kind": "tensor", "shape": [0], "data": []}).encode(),
             json.dumps({"kind": "tensor", "shape": [2], "data": [1.0, 10**400]}).encode(),
+            json.dumps({"kind": "tensor", "shape": [True, 2], "data": [1.0, 2.0]}).encode(),
+            json.dumps(
+                {"kind": "square2d", "rowShape": [True], "shape": [True, True], "data": [4.0]}
+            ).encode(),
         ]:
             (tmp_path / "bad.json").write_bytes(payload)
             with pytest.raises(FileFormatError):

@@ -1,5 +1,7 @@
 """Tests for the verification harness behind ``tensorstat verify``."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,44 @@ def test_perturbed_determinant_fails_det_product(monkeypatch):
     monkeypatch.setattr(linalg, "det", lambda x: exact(x) + 1e-3)
     report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
     assert "det-product" in report.failed_names
+
+
+def test_nan_determinant_fails_every_det_check(monkeypatch):
+    monkeypatch.setattr(linalg, "det", lambda x: math.nan)
+    report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
+    det_checks = [r for r in report.results if r.name.startswith("det-")]
+    assert len(det_checks) == 6
+    for r in det_checks:
+        assert not r.passed and math.isnan(r.deviation), r.line()
+
+
+def test_one_nan_product_fails_mat_product(monkeypatch):
+    exact = verify.contract_product
+    calls = []
+
+    def nan_once(x, y):
+        calls.append(None)
+        out = exact(x, y)
+        return out * math.nan if len(calls) == 1 else out
+
+    monkeypatch.setattr(verify, "contract_product", nan_once)
+    report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
+    result = next(r for r in report.results if r.name == "mat-product")
+    assert not result.passed and math.isnan(result.deviation)
+    assert result.samples == verify.INSTANCES
+
+
+def test_repeated_reduces_one_nan_instance_to_nan():
+    calls = []
+
+    def instance(rng, shape):
+        calls.append(None)
+        return math.nan if len(calls) == 17 else float(rng.uniform())
+
+    check = verify._repeated(instance)
+    deviation, samples = check(np.random.default_rng(0), Shape((2,)), 10)
+    assert len(calls) == samples == verify.INSTANCES
+    assert math.isnan(deviation)
 
 
 @pytest.mark.parametrize("name", ["mat-roundtrip", "det-product", "sampling-determinism"])
