@@ -223,8 +223,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     shape = _parse_shape_spec(args.shape)
-    if args.n < 1:
-        raise FileFormatError("--n must be positive")
+    # The unbiased covariance checks need two observations.
+    if args.n < 2:
+        raise FileFormatError("--n must be at least 2")
     seed = _resolve_seed(args.seed, DEFAULT_VERIFY_SEED)
     report = run_verification(shape, n=args.n, seed=seed, corrupt=args.corrupt)
     for line in report.lines():

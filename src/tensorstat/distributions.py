@@ -17,30 +17,32 @@ normal kernel.  All densities are computed and exposed in log
 space, since the linear density underflows quickly as ``nstar`` grows;
 linear-space wrappers are thin exponentials.
 
-Scales may be dense square tensors or per-mode Kronecker factor lists.
-A Kronecker scale stays factored: its log-determinant, quadratic forms
-and samples come from one Cholesky factor per mode, and the dense
-matricization is assembled only for what needs it (the oracle and the
-dense scale accessors).  Both parameterizations describe one effective
-matricization, and ``kronecker_equivalence_check`` compares their
-densities.
+Scales may be dense square tensors or per-mode Kronecker factor lists,
+held as lower factors whose Kronecker product is the Cholesky factor of
+the matricized scale: one for a dense scale, one per mode for a Kronecker
+scale, which stays factored.  Log-determinant, quadratic forms and samples
+come from those factors; the dense matricization is assembled only for
+the oracle and the dense scale accessors.  Both parameterizations describe
+one effective matricization, and ``kronecker_equivalence_check`` compares
+their densities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DefinitenessError, ShapeError, SymmetryError, UnsupportedKernelError
+from .errors import DefinitenessError, ShapeError, UnsupportedKernelError
 from .linalg import (
-    SYMMETRY_TOL,
     CholeskyFactor,
     KroneckerFactors,
-    cholesky_lower,
+    cholesky,
     kronecker_assemble,
+    kronecker_cholesky,
 )
 from .stats import SampleSet, covariance, mean_tensor
 from .tensor_core import DenseTensor, Shape, SquareTensor, matricize, unmatricize, vec
@@ -231,85 +233,58 @@ def kernel_from_spec(spec: str) -> RadialKernel:
     raise UnsupportedKernelError(f"unknown kernel {spec!r}")
 
 
-def _check_scale(location: DenseTensor, scale: ScaleSpec) -> None:
-    if isinstance(scale, KroneckerFactors):
-        if scale.shape != location.shape:
-            raise ShapeError(
-                f"factor sizes {scale.shape} do not match location shape {location.shape}"
-            )
-    elif isinstance(scale, SquareTensor):
-        if scale.row_shape != location.shape:
-            raise ShapeError(
-                f"scale row shape {scale.row_shape} does not match location shape "
-                f"{location.shape}"
-            )
-        m = matricize(scale)
-        asym = float(np.abs(m - m.T).max())
-        if asym > SYMMETRY_TOL:
-            raise SymmetryError(
-                f"scale matricization is not symmetric: max |m - m.T| = {asym:.3e}"
-            )
-    else:
-        raise TypeError(
-            f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
-        )
-
-
-def _factor_choleskys(scale: ScaleSpec):
-    # Lower Cholesky factor of each symmetrized Kronecker factor, or None
-    # for a dense scale or a factor that is not positive definite (the
-    # product may still be, as for (-A, -B); the dense route decides).
-    if not isinstance(scale, KroneckerFactors):
-        return None
-    lowers = []
-    for a in scale.factors:
-        try:
-            lowers.append(np.linalg.cholesky(0.5 * (a + a.T)))
-        except np.linalg.LinAlgError:
-            return None
-    return tuple(lowers)
-
-
 class EllipticalParams:
     """Location, scale and radial kernel of a tensor elliptical law.
 
-    A dense scale is symmetrized and Cholesky-factored here.  A Kronecker
-    scale is kept factored: each mode's factor gets its own Cholesky
-    factor, the log-determinant is ``sum_k (nstar / n_k) log det A_k``,
-    quadratic forms whiten the deviation one mode at a time and samples
-    apply the factors one mode at a time, so building the parameters,
-    evaluating a density and sampling never form the ``nstar x nstar``
-    matricization.  That dense matrix and its Cholesky factor are built on
-    first use (:attr:`scale_matrix`, :attr:`scale_tensor`, :attr:`chol`:
-    the vec-space oracle, and the sampler for a dense scale) and cached.  The
-    :attr:`log_normalizer` already includes the determinant factor of the
-    scale, so the kernel's ``log_g`` sees only the scalar quadratic form;
-    it too is computed on first use, since sampling never needs it.
-    Instances are immutable after construction.
+    The scale is factored here into lower factors ``L_k`` whose Kronecker
+    product is the Cholesky factor of the matricization: one from
+    :func:`~tensorstat.linalg.cholesky` for a dense scale, one per mode from
+    :func:`~tensorstat.linalg.kronecker_cholesky` for a Kronecker scale.
+    The log-determinant is ``sum_k (nstar / n_k) 2 sum log diag L_k``, and
+    quadratic forms and samples apply the factors one at a time, so a
+    Kronecker scale never forms the ``nstar x nstar`` matricization; that
+    matrix and its Cholesky factor (:attr:`scale_matrix`,
+    :attr:`scale_tensor`, :attr:`chol`: the vec-space oracle) are built on
+    first use and cached.  The :attr:`log_normalizer` already includes the
+    determinant factor of the scale, so the kernel's ``log_g`` sees only
+    the scalar quadratic form; it too is computed on first use, since
+    sampling never needs it.  Instances are immutable after construction.
     """
 
     __slots__ = (
         "location", "scale", "kernel", "log_det",
-        "_mode_lowers", "_scale_matrix", "_chol", "_log_normalizer",
+        "_lowers", "_scale_matrix", "_chol", "_log_normalizer",
     )
 
     def __init__(self, location: DenseTensor, scale: ScaleSpec, kernel: RadialKernel):
-        _check_scale(location, scale)
+        if isinstance(scale, KroneckerFactors):
+            if scale.shape != location.shape:
+                raise ShapeError(
+                    f"factor sizes {scale.shape} do not match location shape {location.shape}"
+                )
+            self._lowers = kronecker_cholesky(scale)
+        elif isinstance(scale, SquareTensor):
+            if scale.row_shape != location.shape:
+                raise ShapeError(
+                    f"scale row shape {scale.row_shape} does not match location shape "
+                    f"{location.shape}"
+                )
+            self._lowers = (cholesky(scale).lower,)
+        else:
+            raise TypeError(
+                f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
+            )
         self.location = location
         self.scale = scale
         self.kernel = kernel
         self._scale_matrix = None
         self._chol = None
         self._log_normalizer = None
-        self._mode_lowers = _factor_choleskys(scale)
-        if self._mode_lowers is None:
-            self.log_det = self.chol.log_det
-        else:
-            nstar = location.shape.nstar
-            self.log_det = sum(
-                (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
-                for low in self._mode_lowers
-            )
+        nstar = location.shape.nstar
+        self.log_det = sum(
+            (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
+            for low in self._lowers
+        )
 
     @property
     def shape(self) -> Shape:
@@ -346,9 +321,9 @@ class EllipticalParams:
 
     @property
     def chol(self) -> CholeskyFactor:
-        """Cholesky factor of :attr:`scale_matrix`, built on first use."""
+        """Cholesky factor of :attr:`scale_matrix`: the Kronecker product of the lower factors."""
         if self._chol is None:
-            lower = cholesky_lower(self.scale_matrix)
+            lower = functools.reduce(np.kron, reversed(self._lowers))
             self._chol = CholeskyFactor(row_shape=self.shape, lower=lower)
         return self._chol
 
@@ -358,13 +333,14 @@ class EllipticalParams:
         return unmatricize(self.scale_matrix, self.shape)
 
     def _along_modes(self, op, cols: np.ndarray) -> np.ndarray:
-        # Apply ``op(L_k, .)`` along each mode k of vec-order columns
-        # ``cols`` (shape (nstar,) or (nstar, N)), viewed as the column-major
-        # multi-index array.  A Kronecker scale's L is the Kronecker product
-        # of the per-mode factors, so ``np.matmul`` gives L @ cols and
-        # ``np.linalg.solve`` gives L^-1 @ cols.
-        z = cols.reshape(self.shape.dims + cols.shape[1:], order="F")
-        for mode, low in enumerate(self._mode_lowers):
+        # Apply ``op(L_k, .)`` along axis k of vec-order columns ``cols``
+        # (shape (nstar,) or (nstar, N)) viewed column-major with one axis
+        # per lower factor: vec itself for a dense scale, the modes for a
+        # Kronecker one.  L is the Kronecker product of the factors, so
+        # ``np.matmul`` gives L @ cols and ``np.linalg.solve`` L^-1 @ cols.
+        sizes = tuple(low.shape[0] for low in self._lowers)
+        z = cols.reshape(sizes + cols.shape[1:], order="F")
+        for mode, low in enumerate(self._lowers):
             moved = np.moveaxis(z, mode, 0)
             done = op(low, moved.reshape(low.shape[0], -1))
             z = np.moveaxis(done.reshape(moved.shape), 0, mode)
@@ -372,8 +348,6 @@ class EllipticalParams:
 
     def _whiten(self, dev: np.ndarray) -> np.ndarray:
         # Solve L z = dev for vec-order columns ``dev``.
-        if self._mode_lowers is None:
-            return self.chol.solve_lower(dev)
         return self._along_modes(np.linalg.solve, dev)
 
     def __repr__(self) -> str:
@@ -461,13 +435,15 @@ def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int
             f"{kernel!r} drew a non-finite standardized value at nstar={p.nstar}; "
             "its radial variable overflows float64"
         )
-    if p._mode_lowers is None:
-        rows = w @ p.chol.lower.T
-    else:
+    if isinstance(p.scale, KroneckerFactors):
         # The Kronecker product of the per-mode lower factors is lower
         # triangular with a positive diagonal, so it is the Cholesky factor
         # of the Kronecker scale; apply it one mode at a time.
         rows = p._along_modes(np.matmul, w.T).T
+    else:
+        # Not _along_modes: its L @ W^T rounds differently from W @ L^T,
+        # and seeded dense sample files must keep their bytes.
+        rows = w @ p._lowers[0].T
     rows += vec(p.location)
     return SampleSet._wrap(rows, p.shape)
 

@@ -125,6 +125,13 @@ def _first_nonpositive_pivot(m: np.ndarray) -> int:
     return n - 1
 
 
+def _not_positive_definite(m: np.ndarray) -> DefinitenessError:
+    pivot = _first_nonpositive_pivot(np.asarray(m, dtype=np.float64))
+    return DefinitenessError(
+        f"matrix is not positive definite: pivot {pivot} is non-positive", pivot=pivot
+    )
+
+
 def cholesky_lower(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -134,11 +141,7 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        pivot = _first_nonpositive_pivot(np.asarray(m, dtype=np.float64))
-        raise DefinitenessError(
-            f"matrix is not positive definite: pivot {pivot} is non-positive",
-            pivot=pivot,
-        ) from None
+        raise _not_positive_definite(m) from None
 
 
 def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
@@ -159,6 +162,13 @@ def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
     return CholeskyFactor(row_shape=s.row_shape, lower=cholesky_lower(sym))
 
 
+def _cholesky_or_none(m: np.ndarray):
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def is_symmetric(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
     """Whether ``x`` equals its block transpose within an absolute ``tol``."""
     diff = matricize(x) - matricize(transpose2d(x))
@@ -170,11 +180,7 @@ def is_positive_definite(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
     if not is_symmetric(x, tol):
         return False
     m = matricize(x)
-    try:
-        np.linalg.cholesky(0.5 * (m + m.T))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _cholesky_or_none(0.5 * (m + m.T)) is not None
 
 
 @dataclass(frozen=True)
@@ -225,3 +231,27 @@ def kronecker_assemble(f: KroneckerFactors) -> np.ndarray:
     is pinned by a mode-scaling unit test rather than left as convention.
     """
     return functools.reduce(np.kron, reversed(f.factors))
+
+
+def kronecker_cholesky(f: KroneckerFactors) -> tuple[np.ndarray, ...]:
+    """Per-mode lower factors whose Kronecker product is the Cholesky factor.
+
+    The product of symmetric factors is positive definite exactly when
+    every factor is definite and an even number of them are negative
+    definite, so a negative definite factor contributes the Cholesky
+    factor of its negation and the signs cancel in pairs.  Otherwise
+    raises :class:`DefinitenessError` naming the first non-positive pivot
+    of the assembled product; only this failure path assembles it.
+    """
+    lowers, negated = [], 0
+    for a in f.factors:
+        sym = 0.5 * (a + a.T)
+        low = _cholesky_or_none(sym)
+        if low is None:
+            low = _cholesky_or_none(-sym)
+            negated += 1
+        lowers.append(low)
+    if all(low is not None for low in lowers) and negated % 2 == 0:
+        return tuple(lowers)
+    m = kronecker_assemble(f)
+    raise _not_positive_definite(0.5 * (m + m.T))

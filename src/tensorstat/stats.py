@@ -262,22 +262,27 @@ def cross_covariance(
             f"sample sets must pair positionally, got {len(sx)} and {len(sy)} observations"
         )
     denom = _denominator(len(sx), normalization)
-    dx = _deviations(sx)
     same = sx is sy or (
         sx.shape == sy.shape and np.array_equal(sx.to_matrix(), sy.to_matrix())
     )
-    if same:
-        kxy = _contract_samples(dx, dx)
-        kyx = kxy
-    else:
-        dy = _deviations(sy)
-        kxy = _contract_samples(dx, dy)
-        kyx = _contract_samples(dy, dx)
-    order_y = sy.shape.order
-    swap = tuple(range(order_y, kyx.ndim)) + tuple(range(order_y))
-    acc = np.add(kxy, np.transpose(kyx, swap), order="F")
-    acc *= 0.5
-    acc /= denom
+    # Finite observations can still overflow the mean or the sums of
+    # products; the result is refused below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = _deviations(sx)
+        if same:
+            kxy = _contract_samples(dx, dx)
+            kyx = kxy
+        else:
+            dy = _deviations(sy)
+            kxy = _contract_samples(dx, dy)
+            kyx = _contract_samples(dy, dx)
+        order_y = sy.shape.order
+        swap = tuple(range(order_y, kyx.ndim)) + tuple(range(order_y))
+        acc = np.add(kxy, np.transpose(kyx, swap), order="F")
+        acc *= 0.5
+        acc /= denom
+    if not np.isfinite(acc).all():
+        raise ValueError("sample covariance overflows float64")
     if sx.shape == sy.shape:
         value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(acc, sx.shape)
     else:
@@ -317,17 +322,32 @@ def _cell_stddev(s: SampleSet) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=0) / len(s))
 
 
-def _first_degenerate_cell(mask_flat: np.ndarray, shape: Shape) -> tuple[int, ...]:
-    k = int(np.flatnonzero(mask_flat)[0])
-    return tuple(int(i) for i in np.unravel_index(k, shape.dims, order="F"))
+def _require_on_degenerate(on_degenerate: str) -> None:
+    if on_degenerate not in ("error", "substitute"):
+        raise ValueError(f"on_degenerate must be 'error' or 'substitute', got {on_degenerate!r}")
 
 
-def _check_correlation_bounds(r: np.ndarray) -> None:
+def _degenerate_cells(sd: np.ndarray, shape: Shape, on_degenerate: str, prefix: str = ""):
+    # Vec-order mask of zero-variance cells; "error" names the first instead.
+    degenerate = sd <= 0.0
+    if degenerate.any() and on_degenerate == "error":
+        k = int(np.flatnonzero(degenerate)[0])
+        cell = tuple(int(i) for i in np.unravel_index(k, shape.dims, order="F"))
+        raise DegenerateVarianceError(f"{prefix}cell {cell} has zero sample variance", index=cell)
+    return degenerate
+
+
+def _standardize(c, sd_x, sd_y, deg_x, deg_y, unit_diagonal: bool = False) -> np.ndarray:
+    # c / (sd_x sd_y^T), degenerate rows and columns 0, bounds checked last.
+    r = c / np.outer(np.where(deg_x, 1.0, sd_x), np.where(deg_y, 1.0, sd_y))
+    r[deg_x, :] = 0.0
+    r[:, deg_y] = 0.0
+    if unit_diagonal:
+        np.fill_diagonal(r, 1.0)
     worst = float(np.abs(r).max())
-    if worst > 1.0 + 1e-12:
-        raise ValueError(
-            f"correlation entry out of [-1, 1] beyond round-off: {worst!r}"
-        )
+    if not worst <= 1.0 + 1e-12:
+        raise ValueError(f"correlation entry out of [-1, 1] beyond round-off: {worst!r}")
+    return r
 
 
 def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
@@ -338,24 +358,12 @@ def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
     ``"error"`` (default) raises naming the first offending multi-index,
     ``"substitute"`` writes 0 off the diagonal and 1 on it.
     """
-    if on_degenerate not in ("error", "substitute"):
-        raise ValueError(f"on_degenerate must be 'error' or 'substitute', got {on_degenerate!r}")
-    cov = covariance(s, "mle")
-    c = np.array(matricize(cov.value), copy=True)
-    var = np.diag(c).copy()
-    degenerate = var <= 0.0
-    if degenerate.any() and on_degenerate == "error":
-        cell = _first_degenerate_cell(degenerate, s.shape)
-        raise DegenerateVarianceError(
-            f"cell {cell} has zero sample variance", index=cell
-        )
-    sd = np.sqrt(np.where(degenerate, 1.0, var))
-    r = c / np.outer(sd, sd)
-    r[degenerate, :] = 0.0
-    r[:, degenerate] = 0.0
-    np.fill_diagonal(r, 1.0)
-    _check_correlation_bounds(r)
-    stddev = DenseTensor._wrap(np.sqrt(var).reshape(s.shape.dims, order="F"), s.shape)
+    _require_on_degenerate(on_degenerate)
+    c = matricize(covariance(s, "mle").value)
+    sd = np.sqrt(np.diag(c))
+    degenerate = _degenerate_cells(sd, s.shape, on_degenerate)
+    r = _standardize(c, sd, sd, degenerate, degenerate, unit_diagonal=True)
+    stddev = DenseTensor._wrap(sd.reshape(s.shape.dims, order="F"), s.shape)
     return CorrTensor(value=unmatricize(r, s.shape), stddev=stddev)
 
 
@@ -368,30 +376,14 @@ def cross_correlation(
     constraint.  Degenerate (constant) cells follow the same contract as
     :func:`correlation`, with substituted entries set to 0.
     """
-    if on_degenerate not in ("error", "substitute"):
-        raise ValueError(f"on_degenerate must be 'error' or 'substitute', got {on_degenerate!r}")
+    _require_on_degenerate(on_degenerate)
     cross = cross_covariance(sx, sy, "mle")
     sdx = _cell_stddev(sx)
     sdy = _cell_stddev(sy)
-    degx = sdx <= 0.0
-    degy = sdy <= 0.0
-    if on_degenerate == "error":
-        if degx.any():
-            cell = _first_degenerate_cell(degx, sx.shape)
-            raise DegenerateVarianceError(
-                f"first-argument cell {cell} has zero sample variance", index=cell
-            )
-        if degy.any():
-            cell = _first_degenerate_cell(degy, sy.shape)
-            raise DegenerateVarianceError(
-                f"second-argument cell {cell} has zero sample variance", index=cell
-            )
-    nx, ny = sx.shape.nstar, sy.shape.nstar
-    c = np.array(cross.value.data, copy=True).reshape((nx, ny), order="F")
-    r = c / np.outer(np.where(degx, 1.0, sdx), np.where(degy, 1.0, sdy))
-    r[degx, :] = 0.0
-    r[:, degy] = 0.0
-    _check_correlation_bounds(r)
+    degx = _degenerate_cells(sdx, sx.shape, on_degenerate, "first-argument ")
+    degy = _degenerate_cells(sdy, sy.shape, on_degenerate, "second-argument ")
+    c = cross.value.data.reshape((sx.shape.nstar, sy.shape.nstar), order="F")
+    r = _standardize(c, sdx, sdy, degx, degy)
     stddev_x = DenseTensor._wrap(sdx.reshape(sx.shape.dims, order="F"), sx.shape)
     stddev_y = DenseTensor._wrap(sdy.reshape(sy.shape.dims, order="F"), sy.shape)
     if sx.shape == sy.shape:

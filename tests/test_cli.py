@@ -166,6 +166,15 @@ class TestEstimate:
         np.testing.assert_array_equal(matricize(read_tensor(str(dst))), [[2.0]])
         assert "symmetry residual" in out
 
+    @pytest.mark.parametrize("kind", ["cov", "corr", "crosscov"])
+    def test_overflowing_covariance_exits_2_without_output(self, capsys, tmp_path, kind):
+        rows = [[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]
+        src = self.write_samples(tmp_path, rows, (2,))
+        dst = tmp_path / "out.json"
+        code, out, err = run(capsys, "estimate", src, str(dst), "--kind", kind)
+        assert (code, out, err) == (2, "", "error: sample covariance overflows float64\n")
+        assert not dst.exists()
+
     def test_constant_samples_corr_exits_3(self, capsys, tmp_path):
         src = self.write_samples(tmp_path, [[1.0, 1.0], [1.0, 5.0]], (2,))
         dst = tmp_path / "corr.json"
@@ -623,6 +632,10 @@ class TestVerifyCommand:
     def test_nonpositive_n_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "0")
         assert code == 2
+
+    def test_one_observation_exits_2_before_any_check(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "1")
+        assert (code, out, err) == (2, "", "error: --n must be at least 2\n")
 
 
 class TestStdinStdout:

@@ -266,6 +266,17 @@ class TestNormalSample:
         b = normal_sample(p, RngSeed(5, 2), 100).to_matrix()
         np.testing.assert_array_equal(a, b)
 
+    def test_dense_draws_are_white_noise_times_cholesky_transpose(self):
+        # Pins the dense orientation W @ L^T bit for bit; L @ W^T rounds
+        # differently here, and diagonal scales cannot tell the two apart.
+        rng = np.random.default_rng(71)
+        loc, s = random_dense(rng, (4, 4, 4)), random_spd(rng, (4, 4, 4))
+        p = TensorNormalParams(loc, s)
+        got = normal_sample(p, RngSeed(3), 300).to_matrix()
+        w = NormalKernel()._standard_draws(RngSeed(3).generator(), 64, 300)
+        want = vec(loc) + w @ np.linalg.cholesky(matricize(s)).T
+        np.testing.assert_array_equal(got, want)
+
     def test_moments_smoke(self):
         rng = np.random.default_rng(70)
         loc = random_dense(rng, (2, 2))
@@ -541,6 +552,24 @@ def random_spd_factors(rng, dims):
     return KroneckerFactors(tuple(mats))
 
 
+def negate(f, modes):
+    return KroneckerFactors(tuple(-a if k in modes else a for k, a in enumerate(f.factors)))
+
+
+def refuse_dense_route(monkeypatch):
+    # Fail on any Kronecker assembly or dense Cholesky; linalg.cholesky
+    # factors through linalg.cholesky_lower.
+    import tensorstat.distributions as dist
+    import tensorstat.linalg as la
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(dist, "kronecker_assemble", refuse)
+    monkeypatch.setattr(la, "kronecker_assemble", refuse)
+    monkeypatch.setattr(la, "cholesky_lower", refuse)
+
+
 class TestStructuredKronecker:
     """Kronecker params evaluate densities from per-mode factors only."""
 
@@ -572,13 +601,7 @@ class TestStructuredKronecker:
         )
 
     def test_densities_never_assemble(self, monkeypatch):
-        import tensorstat.distributions as dist
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("dense route taken")
-
-        monkeypatch.setattr(dist, "kronecker_assemble", refuse)
-        monkeypatch.setattr(dist, "cholesky_lower", refuse)
+        refuse_dense_route(monkeypatch)
         rng = np.random.default_rng(82)
         f = random_spd_factors(rng, (2, 3, 4))
         loc = random_dense(rng, (2, 3, 4))
@@ -619,30 +642,36 @@ class TestStructuredKronecker:
 
     @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
     def test_sample_never_assembles(self, monkeypatch, kernel):
-        import tensorstat.distributions as dist
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("dense route taken")
-
-        monkeypatch.setattr(dist, "kronecker_assemble", refuse)
-        monkeypatch.setattr(dist, "cholesky_lower", refuse)
+        refuse_dense_route(monkeypatch)
         rng = np.random.default_rng(87)
         f = random_spd_factors(rng, (2, 3, 4))
         p = EllipticalParams(random_dense(rng, (2, 3, 4)), f, kernel)
         assert np.isfinite(elliptical_sample(p, RngSeed(1), 10).to_matrix()).all()
         assert np.isfinite(normal_sample(p, RngSeed(1), 10).to_matrix()).all()
 
-    def test_negated_factors_sample_densely(self):
-        # (-A, -B) has no per-mode Cholesky factors, so it keeps the dense route.
+    def test_negated_factors_are_the_same_law(self, monkeypatch):
+        # An even number of negative definite factors is the same scale:
+        # the same per-mode factors, so the same bytes, and no assembly.
         rng = np.random.default_rng(88)
-        f = random_spd_factors(rng, (2, 3))
-        neg = KroneckerFactors(tuple(-a for a in f.factors))
-        loc = random_dense(rng, (2, 3))
-        p = TensorNormalParams(loc, neg)
-        got = normal_sample(p, RngSeed(4), 15).to_matrix()
-        w = NormalKernel()._standard_draws(RngSeed(4).generator(), p.nstar, 15)
-        want = vec(loc) + w @ np.linalg.cholesky(kronecker_assemble(neg)).T
-        np.testing.assert_array_equal(got, want)
+        refuse_dense_route(monkeypatch)
+        for dims, negated in (((2, 3), (0, 1)), ((2, 3, 4), (0, 2))):
+            f = random_spd_factors(rng, dims)
+            loc = random_dense(rng, dims)
+            points = rng.standard_normal((5, f.shape.nstar))
+            for kernel in (NormalKernel(), StudentKernel(nu=5.0)):
+                p = EllipticalParams(loc, f, kernel)
+                q = EllipticalParams(loc, negate(f, negated), kernel)
+                assert q.log_det == p.log_det
+                np.testing.assert_array_equal(
+                    elliptical_sample(q, RngSeed(4), 15).to_matrix(),
+                    elliptical_sample(p, RngSeed(4), 15).to_matrix(),
+                )
+                for x in points:
+                    t = DenseTensor.from_array(x.reshape(dims, order="F"))
+                    assert elliptical_log_density(q, t) == elliptical_log_density(p, t)
+                np.testing.assert_array_equal(
+                    normal_log_density_batch(q, points), normal_log_density_batch(p, points)
+                )
 
     def test_negated_factors_accepted(self):
         rng = np.random.default_rng(84)
@@ -659,6 +688,7 @@ class TestStructuredKronecker:
             ((np.diag([1.0, -1.0]), np.eye(2)), 1),
             ((np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(3)), 1),
             ((np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]])), 3),
+            ((-np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(3)), 0),
         ],
     )
     def test_non_pd_product_names_pivot(self, factors, pivot):
@@ -669,22 +699,24 @@ class TestStructuredKronecker:
         assert str(info.value) == f"matrix is not positive definite: pivot {pivot} is non-positive"
 
     def test_density_memory_stays_small(self):
-        # The dense route at 16x16x16 holds several 128 MiB matrices.
+        # The dense route at 16x16x16 holds several 128 MiB matrices; the
+        # same law with two negated factors must not take it either.
         import tracemalloc
 
         rng = np.random.default_rng(85)
         f = random_spd_factors(rng, (16, 16, 16))
         loc = DenseTensor.zeros((16, 16, 16))
         x = random_dense(rng, (16, 16, 16))
-        tracemalloc.start()
-        try:
-            p = EllipticalParams(loc, f, StudentKernel(nu=5.0))
-            value = elliptical_log_density(p, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert math.isfinite(value)
-        assert peak < 8 * 2**20
+        for scale in (f, negate(f, (0, 1))):
+            tracemalloc.start()
+            try:
+                p = EllipticalParams(loc, scale, StudentKernel(nu=5.0))
+                value = elliptical_log_density(p, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert math.isfinite(value)
+            assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
     def test_sample_memory_stays_small(self, kernel):

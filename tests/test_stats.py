@@ -147,6 +147,24 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance(s, "bogus")
 
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            covariance,
+            lambda s: covariance(s, "mle"),
+            lambda s: cross_covariance(s, make_set([[1e200], [-1e200], [0.0]], (1,))),
+            correlation,
+            lambda s: cross_correlation(s, s),
+        ],
+        ids=["cov", "cov-mle", "crosscov", "corr", "crosscorr"],
+    )
+    def test_overflow_is_refused(self, estimator):
+        # Finite observations whose products of deviations exceed float64;
+        # RuntimeWarnings are errors under this suite's configuration.
+        s = make_set([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]], (2,))
+        with pytest.raises(ValueError, match="^sample covariance overflows float64$"):
+            estimator(s)
+
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(41)
         s = random_set(rng, (2, 2), 7)
