@@ -274,6 +274,8 @@ class EllipticalParams:
             raise TypeError(
                 f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
             )
+        for low in self._lowers:
+            low.flags.writeable = False
         self.location = location
         self.scale = scale
         self.kernel = kernel
@@ -324,6 +326,7 @@ class EllipticalParams:
         """Cholesky factor of :attr:`scale_matrix`: the Kronecker product of the lower factors."""
         if self._chol is None:
             lower = functools.reduce(np.kron, reversed(self._lowers))
+            lower.flags.writeable = False
             self._chol = CholeskyFactor(row_shape=self.shape, lower=lower)
         return self._chol
 

@@ -306,12 +306,19 @@ def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarr
 
     Computed entirely in vec space (stack, center, one matrix product),
     sharing no code with the tensor estimator; the matricization of
-    :func:`covariance` must reproduce it within round-off.
+    :func:`covariance` must reproduce it within round-off.  Raises
+    ``ValueError`` when the result overflows float64, as :func:`covariance`
+    does.
     """
     denom = _denominator(len(s), normalization)
     v = s.to_matrix()
-    d = v - v.mean(axis=0)
-    return d.T @ d / denom
+    # Refused below like cross_covariance's overflow, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = v - v.mean(axis=0)
+        cov = d.T @ d / denom
+    if not np.isfinite(cov).all():
+        raise ValueError("sample covariance overflows float64")
+    return cov
 
 
 def _cell_stddev(s: SampleSet) -> np.ndarray:

@@ -8,7 +8,11 @@ JSON formats (UTF-8, one object per file):
 * sample set      ``{"kind": "samples", "shape": [...], "count": N,
   "seed": <int or null>, "observations": [<tensor objects>]}``; on read
   ``count``, when present, must match the observations, and a bare JSON
-  array of tensor objects is also accepted
+  array of tensor objects is also accepted.  The writer emits one
+  canonical layout (``json.dumps`` spacing, keys in the order above); the
+  reader parses a file in that layout by template, with one
+  ``json.loads`` over the numbers alone, and reads any other valid JSON
+  as a whole document, to the same result
 * parameters      ``{"location": <tensor object>, "scale": <square2d object
   or {"kind": "kronecker", "factors": [<order-2 tensor objects>]}>}``
 
@@ -33,6 +37,7 @@ or writes stdout.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import sys
 from typing import Optional, Union
@@ -228,16 +233,75 @@ def write_sample_set(
         _write_bytes(path, header + np.ascontiguousarray(rows, dtype="<f8").tobytes())
         return
     dims = list(s.shape.dims)
-    obj = {
+    header = json.dumps({
         "kind": "samples",
         "shape": dims,
         "count": len(s),
         "seed": int(seed) if seed is not None else None,
-        "observations": [
-            {"kind": "tensor", "shape": dims, "data": row} for row in rows.tolist()
-        ],
-    }
-    _write_bytes(path, (json.dumps(obj) + "\n").encode("utf-8"))
+    })
+    # The observation list exactly as json.dumps lays out a list of
+    # observation objects, from one dumps of the rows: every float passes
+    # through the same float.__repr__.
+    observations = "[]"
+    if len(s):
+        start = _observation_start(dims)
+        data = json.dumps(rows.tolist())
+        observations = (
+            "[" + start + data[2:-1].replace("], [", "]}, " + start) + "}]"
+        )
+    text = header[:-1] + ', "observations": ' + observations + "}\n"
+    _write_bytes(path, text.encode("utf-8"))
+
+
+def _observation_start(dims: list) -> str:
+    # The text of one observation object up to and including the "[" that
+    # opens its data, as json.dumps writes it.
+    return '{"kind": "tensor", "shape": ' + json.dumps(dims) + ', "data": ['
+
+
+_SAMPLE_HEADER = re.compile(
+    r'\{"kind": "samples", "shape": \[(?P<shape>[1-9][0-9]*(?:, [1-9][0-9]*)*)\], '
+    r'"count": (?P<count>0|[1-9][0-9]*), "seed": (?:-?(?:0|[1-9][0-9]*)|null), '
+    r'"observations": \['
+)
+
+
+def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
+    """The block of a JSON sample file in the layout :func:`write_sample_set` emits.
+
+    Matches the header against that layout, splits the observations on
+    their exact separator, requires ``count`` of them with ``nstar - 1``
+    commas each, and parses all the data with one ``json.loads`` of a flat
+    number list.  Returns None on any mismatch, so every other document,
+    valid or not, goes to the general reader and gets its result or error.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    m = _SAMPLE_HEADER.match(text)
+    if m is None or not text.endswith("]}\n"):
+        return None
+    body = text[m.end():-3]
+    try:
+        shape = Shape(tuple(int(n) for n in m["shape"].split(", ")))
+        count, nstar = int(m["count"]), shape.nstar
+        if count == 0:
+            return (np.empty((0, nstar)), shape) if not body else None
+        start = _observation_start(list(shape.dims))
+        if not (body.startswith(start) and body.endswith("]}")):
+            return None
+        chunks = body[len(start):-2].split("]}, " + start)
+        if len(chunks) != count or any(c.count(",") != nstar - 1 for c in chunks):
+            return None
+        flat = np.array(json.loads("[" + ", ".join(chunks) + "]"), dtype=np.float64)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    # Nested data, or a value spanning two observations (it swallows the
+    # separator's comma), gives another shape.
+    if flat.shape != (count * nstar,):
+        return None
+    return flat.reshape(count, nstar), shape
 
 
 def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, Shape]:
@@ -291,6 +355,10 @@ def read_sample_set(path: str) -> SampleSet:
         shape, offset = _parse_binary_header(raw, offset)
         rows = _require_finite_rows(_parse_binary_block(raw, offset, count, shape))
         return SampleSet._wrap(rows, shape)
+    parsed = _template_sample_rows(raw)
+    if parsed is not None:
+        rows, shape = parsed
+        return SampleSet._wrap(_require_finite_rows(rows), shape)
     doc = _parse_json(raw)
     if isinstance(doc, dict):
         if doc.get("kind") != "samples":

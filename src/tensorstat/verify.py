@@ -379,11 +379,18 @@ def _check_density_normalization(rng, shape, n):
         unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), grid_shape),
     )
     axis = np.linspace(-8.0, 8.0, 1601)
-    # (x_i, y_j) rows, x slowest; the meshgrid arrays die right away.
-    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    dens = np.exp(normal_log_density_batch(p, pts)).reshape(1601, 1601)
-    integral = float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis, axis=0))
-    return abs(integral - 1.0), pts.shape[0]
+    # The inner integrals over y, 64 rows of x at a time, so only one block
+    # of the 1601 x 1601 grid is held; each row's integral is the one the
+    # full grid gives.
+    inner = np.empty(axis.size)
+    for lo in range(0, axis.size, 64):
+        xs = axis[lo:lo + 64]
+        # (x_i, y_j) rows, x slowest.
+        pts = np.stack(np.meshgrid(xs, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        dens = np.exp(normal_log_density_batch(p, pts)).reshape(xs.size, axis.size)
+        inner[lo:lo + xs.size] = np.trapezoid(dens, axis, axis=1)
+    integral = float(np.trapezoid(inner, axis))
+    return abs(integral - 1.0), axis.size**2
 
 
 def _check_moment_recovery_mean(rng, shape, n):

@@ -149,6 +149,23 @@ class TestParams:
         np.testing.assert_array_equal(p.scale_matrix, kronecker_assemble(f))
         assert p.scale_tensor == unmatricize(kronecker_assemble(f), Shape((2, 2)))
 
+    def test_dense_factor_is_read_only(self):
+        # chol.lower of a dense scale is the factor densities whiten with.
+        p = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
+        x = DenseTensor([1.0, 1.0], (2,))
+        before = normal_log_density(p, x)
+        with pytest.raises(ValueError, match="read-only"):
+            p.chol.lower[0, 0] = 2.0
+        assert normal_log_density(p, x) == before
+        assert p.log_det == 0.0
+
+    def test_kronecker_factors_are_read_only(self):
+        f = KroneckerFactors((np.diag([1.0, 2.0]), np.diag([3.0, 4.0, 5.0])))
+        p = TensorNormalParams(DenseTensor.zeros((2, 3)), f)
+        for low in p._lowers + (p.chol.lower,):
+            with pytest.raises(ValueError, match="read-only"):
+                low[0, 0] = 2.0
+
 
 class TestNormalDensity:
     def test_standard_scalar_at_zero(self):

@@ -155,8 +155,9 @@ class TestCovariance:
             lambda s: cross_covariance(s, make_set([[1e200], [-1e200], [0.0]], (1,))),
             correlation,
             lambda s: cross_correlation(s, s),
+            covariance_of_vec,
         ],
-        ids=["cov", "cov-mle", "crosscov", "corr", "crosscorr"],
+        ids=["cov", "cov-mle", "crosscov", "corr", "crosscorr", "cov-of-vec"],
     )
     def test_overflow_is_refused(self, estimator):
         # Finite observations whose products of deviations exceed float64;

@@ -2,12 +2,15 @@
 
 import json
 import struct
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tensorstat import tensorfile
 from tensorstat.errors import FileFormatError
 from tensorstat.linalg import KroneckerFactors
 from tensorstat.stats import SampleSet
@@ -328,6 +331,182 @@ class TestJsonSampleErrors:
         path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         with pytest.raises(FileFormatError, match="observation 1 "):
             read_sample_set(str(path))
+
+
+TEMPLATE_SHAPES = [(1,), (2, 2), (3, 1, 2)]
+
+# Values whose text is easy to get wrong: signed zeros, subnormals, the
+# ends of the float64 range and integer-valued floats.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
+               1.7976931348623157e308, 3.0, -(2.0**60)]
+template_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+def reference_text(dims, rows, seed=None) -> str:
+    # The canonical layout as json.dumps lays out the sample-set object;
+    # entries given as Python ints come out as JSON integers.
+    obs = [{"kind": "tensor", "shape": list(dims), "data": row} for row in rows]
+    doc = {"kind": "samples", "shape": list(dims), "count": len(rows), "seed": seed,
+           "observations": obs}
+    return json.dumps(doc) + "\n"
+
+
+def read_outcome(path, general_only=False):
+    # What read_sample_set gives: the shape and block bytes, or the
+    # exception type and message.  general_only turns the template off.
+    off = mock.patch.object(tensorfile, "_template_sample_rows", lambda raw: None)
+    with off if general_only else nullcontext():
+        try:
+            s = read_sample_set(path)
+        except Exception as e:
+            return type(e), str(e)
+    block = s.to_matrix()
+    return s.shape, block.shape, block.tobytes()
+
+
+class TestJsonSampleTemplate:
+    @settings(max_examples=150, deadline=None, suppress_health_check=FUZZ_FILE)
+    @given(
+        dims=st.sampled_from(TEMPLATE_SHAPES),
+        count=st.integers(1, 50),
+        seed=st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+        data=st.data(),
+    )
+    def test_template_is_bit_equal_to_general_parse(self, tmp_path, dims, count, seed, data):
+        nstar = int(np.prod(dims))
+        values = data.draw(st.lists(template_values, min_size=count * nstar,
+                                    max_size=count * nstar))
+        rows = np.array(values).reshape(count, nstar)
+        path = tmp_path / "s.json"
+        write_sample_set(str(path), SampleSet._wrap(rows, Shape(dims)), seed=seed)
+        raw = path.read_bytes()
+        assert raw.decode() == reference_text(dims, rows.tolist(), seed)
+        parsed = tensorfile._template_sample_rows(raw)
+        assert parsed is not None
+        assert parsed[1] == Shape(dims)
+        assert parsed[0].tobytes() == rows.tobytes()
+        assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+        # Integer-valued entries written as JSON integers.
+        as_ints = [[int(v) if v.is_integer() and abs(v) < 2**63 else v for v in row]
+                   for row in rows.tolist()]
+        path.write_text(reference_text(dims, as_ints, seed))
+        assert tensorfile._template_sample_rows(path.read_bytes()) is not None
+        assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+
+    @pytest.mark.parametrize("dims", TEMPLATE_SHAPES + [(2,), (4, 3)])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_writer_output_never_takes_the_general_parse(self, tmp_path, monkeypatch,
+                                                         dims, count):
+        rows = np.random.default_rng(count).standard_normal((count, int(np.prod(dims))))
+        path = str(tmp_path / "s.json")
+        write_sample_set(path, SampleSet._wrap(rows, Shape(dims)), seed=count)
+
+        def refuse(raw):
+            raise AssertionError("the canonical layout reached the general parse")
+
+        monkeypatch.setattr(tensorfile, "_parse_json", refuse)
+        back = read_sample_set(path)
+        assert back.shape == Shape(dims)
+        assert back.to_matrix().tobytes() == rows.tobytes()
+
+    CANONICAL = reference_text((2,), [[1.5, -2.0], [3.0, 4.25], [0.5, 6.0]], 7)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[1.5", "[01.5"),                       # leading zero
+            ("[1.5", "[NaN"),
+            ("[1.5", "[Infinity"),
+            ("[1.5", "[1e999"),
+            ("[1.5", "[-0"),
+            ("[1.5", "[true"),
+            ("[1.5", "[null"),
+            ("[1.5", '["1.5"'),
+            ("4.25]", "4.25]]"),                     # stray brackets
+            ("[3.0", "[[3.0"),
+            ("3.0, 4.25", "[3.0], 4.25"),
+            ("3.0, 4.25", "3.0, [4.25"),
+            ('"count": 3, ', '"count": 3, "count": 2, '),  # duplicate keys
+            ('"seed": 7, ', '"seed": 7, "seed": 8, '),
+            ('"data": [3.0, 4.25]}', '"data": [3.0, 4.25], "data": [1.0, 2.0]}'),
+            ('"count": 3', '"count": 03'),
+            ('"count": 3', '"count": 2'),
+            ('"count": 3', '"count": 4'),
+            ('"seed": 7', '"seed": -0'),
+            ('"seed": 7', '"seed": 7.0'),
+            ('"shape": [2], "count"', '"shape": [02], "count"'),
+            ('"shape": [2], "count"', '"shape": [3], "count"'),
+            ("]}\n", "]}"),                          # other whitespace
+            ("]}\n", "]} \n\n"),
+            ("]}\n", "]}\x0c"),                     # not JSON whitespace
+            ("[1.5, -2.0]", "[1.5,-2.0]"),
+            ("}, {", "},{"),
+            ('{"kind": "samples", ', '{ "kind": "samples", '),
+            ("7, \"observations\"", "7,\"observations\""),
+            (                                        # ragged observations
+                '[1.5, -2.0]}, {"kind": "tensor", "shape": [2], "data": [3.0, 4.25]',
+                '[1.5, -2.0, 3.0]}, {"kind": "tensor", "shape": [2], "data": [4.25]',
+            ),
+        ],
+    )
+    def test_named_mutations_match_the_general_parse(self, tmp_path, old, new):
+        assert old in self.CANONICAL
+        path = tmp_path / "s.json"
+        path.write_text(self.CANONICAL.replace(old, new, 1))
+        assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+
+    def test_nested_one_cell_data_matches_the_general_parse(self, tmp_path):
+        # Every observation's data wrapped once more still has count x 1
+        # numbers, but as a count x 1 nest, which the general reader refuses.
+        text = reference_text((1,), [[[1.5]], [[2.0]]])
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        outcome = read_outcome(str(path))
+        assert outcome[0] is FileFormatError
+        assert outcome == read_outcome(str(path), general_only=True)
+
+    def test_key_order_and_bare_array_match_the_general_parse(self, tmp_path):
+        doc = json.loads(self.CANONICAL)
+        path = tmp_path / "s.json"
+        for text in (
+            json.dumps(dict(reversed(list(doc.items())))),
+            json.dumps(doc["observations"]),
+            json.dumps(doc, indent=1),
+        ):
+            path.write_text(text)
+            general = read_outcome(str(path), general_only=True)
+            assert general[0] == Shape((2,))
+            assert read_outcome(str(path)) == general
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=FUZZ_FILE)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "replace"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(list('0123456789-+.eE,:[]{}" \nNaIfntrul') + ["NaN"]),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_random_mutations_match_the_general_parse(self, tmp_path, edits):
+        text = self.CANONICAL
+        for op, where, char in edits:
+            k = int(where * len(text))
+            if op == "insert":
+                text = text[:k] + char + text[k:]
+            elif op == "delete":
+                text = text[:k] + text[k + 1:]
+            else:
+                text = text[:k] + char + text[k + 1:]
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
 
 
 class TestParamsFiles:

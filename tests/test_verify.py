@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tensorstat import linalg, verify
-from tensorstat.tensor_core import Shape, vec
+from tensorstat.distributions import TensorNormalParams, normal_log_density_batch
+from tensorstat.tensor_core import DenseTensor, Shape, unmatricize, vec
 
 
 def test_perturbed_determinant_fails_det_product(monkeypatch):
@@ -52,6 +53,24 @@ def test_repeated_reduces_one_nan_instance_to_nan():
     deviation, samples = check(np.random.default_rng(0), Shape((2,)), 10)
     assert len(calls) == samples == verify.INSTANCES
     assert math.isnan(deviation)
+
+
+def test_density_normalization_matches_the_full_grid():
+    # The quadrature runs over blocks of grid rows; its deviation must be
+    # the one the whole 1601 x 1601 grid at once gives, bit for bit.
+    shape = Shape((2,))
+    p = TensorNormalParams(
+        DenseTensor.zeros(shape), unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), shape)
+    )
+    axis = np.linspace(-8.0, 8.0, 1601)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    dens = np.exp(normal_log_density_batch(p, pts)).reshape(1601, 1601)
+    full = abs(float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis, axis=0)) - 1.0)
+    deviation, samples = verify._check_density_normalization(
+        np.random.default_rng(0), Shape((2, 2)), 100
+    )
+    assert samples == 1601**2
+    assert deviation.hex() == full.hex()
 
 
 @pytest.mark.parametrize("name", ["mat-roundtrip", "det-product", "sampling-determinism"])
