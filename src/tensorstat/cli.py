@@ -43,6 +43,7 @@ from .errors import (
 from .linalg import det, inverse, slogdet
 from .stats import (
     SampleSet,
+    _square_diagnostics,
     correlation,
     covariance,
     cross_covariance,
@@ -162,12 +163,6 @@ def _cmd_matricize(args) -> int:
     return EXIT_OK
 
 
-def _square_diagnostics(x: SquareTensor) -> tuple[float, float]:
-    # Symmetry residual and smallest eigenvalue of the symmetric part.
-    m = matricize(x)
-    return float(np.abs(m - m.T).max()), float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-
-
 def _cmd_estimate(args) -> int:
     samples = _read_samples(args.input)
     diagnostics = None
@@ -182,7 +177,7 @@ def _cmd_estimate(args) -> int:
         result = cross_covariance(samples, other, args.normalization).value
     write_tensor(args.output, result, binary=_binary_output(args.output, args.binary))
     if isinstance(result, SquareTensor):
-        sym_residual, min_eig = diagnostics or _square_diagnostics(result)
+        sym_residual, min_eig = diagnostics or _square_diagnostics(matricize(result))
         print(f"shape: {result.row_shape}x{result.row_shape}")
         print(f"symmetry residual: {sym_residual:.3e}")
         print(f"min matricized eigenvalue: {_fmt(min_eig)}")

@@ -20,11 +20,12 @@ linear-space wrappers are thin exponentials.
 Scales may be dense square tensors or per-mode Kronecker factor lists,
 held as lower factors whose Kronecker product is the Cholesky factor of
 the matricized scale: one for a dense scale, one per mode for a Kronecker
-scale, which stays factored.  Log-determinant, quadratic forms and samples
-come from those factors; the dense matricization is assembled only for
-the oracle and the dense scale accessors.  Both parameterizations describe
-one effective matricization, and ``kronecker_equivalence_check`` compares
-their densities.
+scale, which stays factored.  Draws ``M + L w`` and densities, through
+``q = |L^-1 (x - M)|^2``, apply those factors by one row-block operator,
+forward or by solves, mode by mode; a single point is the batch's one-row
+case.  The dense matricization is assembled only for the oracle and the
+dense scale accessors.  Both parameterizations describe one effective
+matricization, and ``kronecker_equivalence_check`` compares their densities.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ class EllipticalParams:
     :func:`~tensorstat.linalg.cholesky` for a dense scale, one per mode from
     :func:`~tensorstat.linalg.kronecker_cholesky` for a Kronecker scale.
     The log-determinant is ``sum_k (nstar / n_k) 2 sum log diag L_k``, and
-    quadratic forms and samples apply the factors one at a time, so a
-    Kronecker scale never forms the ``nstar x nstar`` matricization; that
+    draws and quadratic forms apply the factors one mode at a time to
+    ``(N, nstar)`` row blocks of vectorized tensors (:meth:`_along_modes`),
+    so a Kronecker scale never forms the ``nstar x nstar`` matricization; that
     matrix and its Cholesky factor (:attr:`scale_matrix`,
     :attr:`scale_tensor`, :attr:`chol`: the vec-space oracle) are built on
     first use and cached.  The :attr:`log_normalizer` already includes the
@@ -335,23 +337,20 @@ class EllipticalParams:
         """Dense square-tensor view of the effective scale."""
         return unmatricize(self.scale_matrix, self.shape)
 
-    def _along_modes(self, op, cols: np.ndarray) -> np.ndarray:
-        # Apply ``op(L_k, .)`` along axis k of vec-order columns ``cols``
-        # (shape (nstar,) or (nstar, N)) viewed column-major with one axis
-        # per lower factor: vec itself for a dense scale, the modes for a
-        # Kronecker one.  L is the Kronecker product of the factors, so
-        # ``np.matmul`` gives L @ cols and ``np.linalg.solve`` L^-1 @ cols.
-        sizes = tuple(low.shape[0] for low in self._lowers)
-        z = cols.reshape(sizes + cols.shape[1:], order="F")
-        for mode, low in enumerate(self._lowers):
-            moved = np.moveaxis(z, mode, 0)
-            done = op(low, moved.reshape(low.shape[0], -1))
-            z = np.moveaxis(done.reshape(moved.shape), 0, mode)
-        return z.reshape(cols.shape, order="F")
-
-    def _whiten(self, dev: np.ndarray) -> np.ndarray:
-        # Solve L z = dev for vec-order columns ``dev``.
-        return self._along_modes(np.linalg.solve, dev)
+    def _along_modes(self, op, rows: np.ndarray) -> np.ndarray:
+        # Apply ``op(L_k, .)`` along mode k of the (N, nstar) vec-order
+        # ``rows``, each seen C-order with its modes reversed; ``op`` gets
+        # the mode-k fibres as rows.  L is the Kronecker product of the
+        # factors, so _times_lower gives rows of L x, _solve_lower of L^-1 x.
+        # Only ``z`` holds the block, so each mode frees the one before.
+        sizes = tuple(low.shape[0] for low in reversed(self._lowers))
+        z = rows.reshape(rows.shape[:1] + sizes)
+        for axis, low in zip(range(len(sizes), 0, -1), self._lowers):
+            z = np.moveaxis(z, axis, -1)
+            shape = z.shape
+            z = z.reshape(-1, low.shape[0])
+            z = np.moveaxis(op(low, z).reshape(shape), -1, axis)
+        return z.reshape(rows.shape)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
@@ -366,19 +365,28 @@ class TensorNormalParams(EllipticalParams):
         super().__init__(location, scale, NormalKernel())
 
 
-def _deviation(p, x: DenseTensor) -> np.ndarray:
+def _times_lower(low: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x @ low.T
+
+
+def _solve_lower(low: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(low, x.T).T
+
+
+def _point_rows(p: EllipticalParams, x: DenseTensor) -> np.ndarray:
     if x.shape != p.location.shape:
         raise ShapeError(
             f"point shape {x.shape} does not match parameter shape {p.location.shape}"
         )
-    return vec(x) - vec(p.location)
+    return vec(x)[None, :]
 
 
-def _quadratic_form(p: EllipticalParams, x: DenseTensor) -> float:
-    # Deviation against the inverse scale through the cached Cholesky
-    # factors (solves against L); the explicit inverse is never formed.
-    z = p._whiten(_deviation(p, x))
-    return float(z @ z)
+def _quadratic_forms(p: EllipticalParams, rows: np.ndarray) -> np.ndarray:
+    # Each row's deviation against the inverse scale, by solves against
+    # the factors (never an explicit inverse), then one contiguous dot per
+    # row: the same bits as ``z @ z`` of that row alone.
+    z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
+    return np.vecdot(z, z)
 
 
 def normal_log_density(p: EllipticalParams, x: DenseTensor) -> float:
@@ -386,10 +394,9 @@ def normal_log_density(p: EllipticalParams, x: DenseTensor) -> float:
 
     The Gaussian formula is used whatever ``p``'s kernel, which keeps it
     an independent reference for :func:`elliptical_log_density` with the
-    normal kernel.
+    normal kernel.  The one-point case of :func:`normal_log_density_batch`.
     """
-    q = _quadratic_form(p, x)
-    return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
+    return float(normal_log_density_batch(p, _point_rows(p, x))[0])
 
 
 def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
@@ -401,7 +408,7 @@ def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
     contraction-based density and is public for exactly that reason.
     """
     m = p.scale_matrix
-    diff = _deviation(p, x)
+    diff = _point_rows(p, x)[0] - vec(p.location)
     _sign, log_det = np.linalg.slogdet(m)
     q = float(diff @ np.linalg.solve(m, diff))
     return -0.5 * (p.nstar * LN_2PI + float(log_det) + q)
@@ -410,14 +417,16 @@ def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
 def normal_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndarray:
     """Vectorized log-density over rows of ``points`` (vectorized tensors).
 
-    Matches :func:`normal_log_density` point for point; exists so grids and
-    Monte-Carlo batches do not pay one Python call per point.
+    All rows are whitened in one pass over the factors, and a row's value
+    does not depend on the rows around it.  The one exception is a single
+    row against a factor that spans all of ``nstar`` (a dense scale): LAPACK
+    solves its lone right-hand side with a kernel that can round an ulp
+    apart from the batch's.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != p.nstar:
         raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
-    z = p._whiten((pts - vec(p.location)).T)
-    q = np.einsum("ij,ij->j", z, z)
+    q = _quadratic_forms(p, pts)
     return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
 
 
@@ -438,15 +447,7 @@ def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int
             f"{kernel!r} drew a non-finite standardized value at nstar={p.nstar}; "
             "its radial variable overflows float64"
         )
-    if isinstance(p.scale, KroneckerFactors):
-        # The Kronecker product of the per-mode lower factors is lower
-        # triangular with a positive diagonal, so it is the Cholesky factor
-        # of the Kronecker scale; apply it one mode at a time.
-        rows = p._along_modes(np.matmul, w.T).T
-    else:
-        # Not _along_modes: its L @ W^T rounds differently from W @ L^T,
-        # and seeded dense sample files must keep their bytes.
-        rows = w @ p._lowers[0].T
+    rows = p._along_modes(_times_lower, w)
     rows += vec(p.location)
     return SampleSet._wrap(rows, p.shape)
 
@@ -455,8 +456,7 @@ def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
     """Draw ``count`` tensors: location plus the Cholesky image of white noise.
 
     Uses the Gaussian law of ``p``'s location and scale, whatever its
-    kernel.  The Cholesky factor is the dense one of a dense scale, or one
-    per mode of a Kronecker scale (see :func:`elliptical_sample`).
+    kernel, with the factors applied as in :func:`elliptical_sample`.
     Deterministic for a given ``(seed, stream)``: identical inputs yield
     bit-identical sample sets.
     """
@@ -465,7 +465,8 @@ def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
 
 def elliptical_log_density(p: EllipticalParams, x: DenseTensor) -> float:
     """Log-density ``log c + log g(q)`` of the elliptical law at ``x``."""
-    return p.log_normalizer + float(p.kernel.log_g(_quadratic_form(p, x), p.nstar))
+    q = float(_quadratic_forms(p, _point_rows(p, x))[0])
+    return p.log_normalizer + float(p.kernel.log_g(q, p.nstar))
 
 
 def elliptical_density(p: EllipticalParams, x: DenseTensor) -> float:
@@ -479,11 +480,13 @@ def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleS
     ``L`` is the Cholesky factor of the scale matricization and ``w`` the
     kernel's standardized draw: ``R * u`` with ``u`` uniform on the unit
     sphere in ``nstar`` dimensions and ``R`` the kernel's radial variable,
-    or white noise for the normal kernel.  For a Kronecker scale ``L`` is
-    the Kronecker product of the per-mode lower factors, applied one mode
-    at a time; it is never assembled, so the draws match those of the
-    assembled dense scale within rounding, not bit for bit.  Kernels
-    without a registered sampler raise :class:`UnsupportedKernelError`.
+    or white noise for the normal kernel.  The rows are ``W L^T`` with
+    ``L`` the Kronecker product of the params' lower factors, applied one
+    mode at a time and never assembled: a dense scale or a one-factor
+    Kronecker scale gives the same bytes, while a Kronecker scale of
+    several modes matches its assembled dense scale within rounding.
+    Kernels without a registered sampler raise
+    :class:`UnsupportedKernelError`.
     """
     return _sample(p, p.kernel, seed, count)
 
@@ -535,11 +538,10 @@ def kronecker_equivalence_check(
         raise ShapeError(
             f"parameter shapes {dense.shape} and {structured.shape} do not match"
         )
-    points = normal_sample(dense, seed, probes)
-    devs = [
-        abs(normal_log_density(dense, x) - normal_log_density(structured, x))
-        for x in points
-    ]
+    points = normal_sample(dense, seed, probes).to_matrix()
+    devs = np.abs(
+        normal_log_density_batch(dense, points) - normal_log_density_batch(structured, points)
+    )
     # np.max propagates NaN, so a NaN deviation is reported and fails.
     worst = float(np.max(devs, initial=0.0))
     return EquivalenceReport(

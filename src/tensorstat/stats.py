@@ -148,6 +148,11 @@ class SampleSet:
         return self._rows
 
 
+def _square_diagnostics(m: np.ndarray) -> tuple[float, float]:
+    # Largest |m - m.T| and smallest eigenvalue of the symmetric part.
+    return float(np.abs(m - m.T).max()), float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
+
+
 @dataclass(frozen=True)
 class CovTensor:
     """Self-covariances of a random tensor's cells.
@@ -166,11 +171,10 @@ class CovTensor:
 
     def __post_init__(self) -> None:
         m = matricize(self.value)
-        sym_residual = float(np.abs(m - m.T).max())
+        sym_residual, min_eig = _square_diagnostics(m)
         if sym_residual > 1e-12:
             raise ValueError("covariance tensor must be symmetric")
         scale = max(1.0, float(np.abs(np.diag(m)).max()))
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
         if min_eig < -1e-10 * scale:
             raise ValueError(
                 f"covariance matricization must be positive semidefinite, "

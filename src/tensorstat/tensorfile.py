@@ -73,31 +73,39 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _write_bytes(path: str, payload: bytes) -> None:
+def _write_bytes(path: str, *chunks) -> None:
+    # Chunks are bytes or C-contiguous arrays, written in order, uncopied.
     if path == "-":
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
         return
     with open(path, "wb") as fh:
-        fh.write(payload)
+        fh.writelines(chunks)
 
 
 def _parse_json(raw: bytes):
+    # ValueError covers undecodable bytes, malformed JSON and integer
+    # literals beyond Python's digit limit.
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise FileFormatError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise FileFormatError("JSON is nested too deeply to read") from None
 
 
-def _require_dims(dims) -> tuple[int, ...]:
-    # type() and not isinstance(): JSON true is a bool, and bool is an int.
-    if not isinstance(dims, list) or not dims or not all(
+def _require_shape(dims) -> Shape:
+    # Every reader's shape check, before anything is allocated: one or more
+    # positive integers (type(), as JSON true is a bool and bool an int)
+    # whose float64 tensor can be addressed.
+    if not isinstance(dims, (list, tuple)) or not dims or not all(
         type(n) is int and n >= 1 for n in dims
     ):
-        raise FileFormatError(f"shape must be a non-empty list of positive integers, got {dims!r}")
-    return tuple(dims)
+        raise FileFormatError(f"shape must be one or more positive integers, got {dims!r}")
+    shape = Shape(tuple(dims))
+    if 8 * shape.nstar > sys.maxsize:
+        raise FileFormatError(f"tensor shape {shape} is too large")
+    return shape
 
 
 def tensor_to_obj(t: AnyTensor) -> dict:
@@ -126,13 +134,12 @@ def tensor_from_obj(obj) -> AnyTensor:
         raise FileFormatError("tensor object must carry a 'data' array")
     try:
         if kind == "tensor":
-            dims = _require_dims(obj.get("shape"))
-            return DenseTensor(data, Shape(dims))
+            return DenseTensor(data, _require_shape(obj.get("shape")))
         if kind == "square2d":
             row = obj.get("rowShape")
             if row is None:
                 raise FileFormatError("square2d tensor objects require a 'rowShape' field")
-            return SquareTensor(data, Shape(_require_dims(row)))
+            return SquareTensor(data, _require_shape(row))
     except (ShapeError, ValueError, TypeError, OverflowError) as e:
         if isinstance(e, FileFormatError):
             raise
@@ -158,15 +165,8 @@ def _unpack(fmt: str, raw: bytes, offset: int) -> tuple[tuple, int]:
 
 def _parse_binary_header(raw: bytes, offset: int) -> tuple[Shape, int]:
     (order,), offset = _unpack("<B", raw, offset)
-    if order == 0:
-        raise FileFormatError("binary tensor order must be at least 1")
     dims, offset = _unpack(f"<{order}I", raw, offset)
-    if any(n < 1 for n in dims):
-        raise FileFormatError(f"binary tensor dims must be positive, got {dims}")
-    shape = Shape(dims)
-    if 8 * shape.nstar > sys.maxsize:
-        raise FileFormatError(f"binary tensor shape {shape} is too large")
-    return shape, offset
+    return _require_shape(dims), offset
 
 
 def _parse_binary_block(raw: bytes, offset: int, count: int, shape: Shape) -> np.ndarray:
@@ -230,7 +230,7 @@ def write_sample_set(
     rows = s.to_matrix()
     if binary:
         header = MAGIC + struct.pack("<Q", len(s)) + _binary_dims(s.shape.dims)
-        _write_bytes(path, header + np.ascontiguousarray(rows, dtype="<f8").tobytes())
+        _write_bytes(path, header, np.ascontiguousarray(rows, dtype="<f8"))
         return
     dims = list(s.shape.dims)
     header = json.dumps({
@@ -284,7 +284,7 @@ def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
         return None
     body = text[m.end():-3]
     try:
-        shape = Shape(tuple(int(n) for n in m["shape"].split(", ")))
+        shape = _require_shape([int(n) for n in m["shape"].split(", ")])
         count, nstar = int(m["count"]), shape.nstar
         if count == 0:
             return (np.empty((0, nstar)), shape) if not body else None
@@ -320,13 +320,11 @@ def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, 
         data = item.get("data")
         if not isinstance(data, list):
             raise FileFormatError("tensor object must carry a 'data' array")
-        dims = _require_dims(item.get("shape"))
+        item_shape = _require_shape(item.get("shape"))
         if shape is None:
-            shape = Shape(dims)
-        if dims != shape.dims:
-            raise ShapeError(
-                f"observation {k} has shape {Shape(dims)}, expected {shape}"
-            )
+            shape = item_shape
+        if item_shape != shape:
+            raise ShapeError(f"observation {k} has shape {item_shape}, expected {shape}")
         if len(data) != shape.nstar:
             raise FileFormatError(
                 f"observation {k} has {len(data)} entries, expected {shape.nstar}"
@@ -363,7 +361,7 @@ def read_sample_set(path: str) -> SampleSet:
     if isinstance(doc, dict):
         if doc.get("kind") != "samples":
             raise FileFormatError("expected a sample-set object or a JSON array")
-        shape = Shape(_require_dims(doc.get("shape")))
+        shape = _require_shape(doc.get("shape"))
         items = doc.get("observations")
         if not isinstance(items, list):
             raise FileFormatError("sample-set object must carry an 'observations' array")

@@ -360,6 +360,38 @@ class TestDensity:
         _, out_dense, _ = run(capsys, "density", str(dense_params), str(point), "--log")
         assert abs(float(out_kron) - float(out_dense)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "dims, family, expected",
+        [
+            ((2, 2), "normal", "-6.27533307457505"),
+            ((2, 2), "student:5", "-6.1413190035488281"),
+            ((16, 16, 4), "normal", "-1833.0109344802754"),
+            ((16, 16, 4), "student:5", "-922.45265908614465"),
+            ((16, 16, 16), "normal", "-7380.5616976236579"),
+            ((16, 16, 16), "student:5", "-3576.3137736603003"),
+        ],
+    )
+    def test_kronecker_log_density_strings_are_pinned(
+        self, capsys, tmp_path, dims, family, expected
+    ):
+        # Benchmark-shaped Kronecker params; the strings pin the per-mode
+        # whitening and the quadratic form to the last printed digit.
+        rng = np.random.default_rng(2021)
+        factors = []
+        for n in dims:
+            b = rng.standard_normal((n, n))
+            m = b @ b.T / n + np.eye(n)
+            factors.append(0.5 * (m + m.T))
+        nstar = int(np.prod(dims))
+        location = np.linspace(-1.0, 1.0, nstar)
+        point = location + 0.5 * rng.standard_normal(nstar)
+        params, x = tmp_path / "p.json", tmp_path / "x.json"
+        write_params(str(params), DenseTensor(location, dims), KroneckerFactors(tuple(factors)))
+        write_tensor(str(x), DenseTensor(point, dims))
+        code, out, _ = run(capsys, "density", str(params), str(x), "--family", family, "--log")
+        assert code == 0
+        assert out.strip() == expected
+
     def test_student_family(self, capsys, tmp_path, std_normal_params):
         point = tmp_path / "pt.json"
         write_tensor(str(point), DenseTensor.zeros((1,)))

@@ -522,11 +522,11 @@ class TestKroneckerEquivalence:
         f = KroneckerFactors((np.eye(2), np.eye(2)))
         dense = TensorNormalParams(DenseTensor.zeros(shape), SquareTensor.identity(shape))
         structured = TensorNormalParams(DenseTensor.zeros(shape), f)
-        exact = dist.normal_log_density
+        exact = dist.normal_log_density_batch
         monkeypatch.setattr(
             dist,
-            "normal_log_density",
-            lambda p, x: math.nan if p is structured else exact(p, x),
+            "normal_log_density_batch",
+            lambda p, pts: np.full(len(pts), math.nan) if p is structured else exact(p, pts),
         )
         report = kronecker_equivalence_check(dense, structured, probes=5, seed=RngSeed(9))
         assert math.isnan(report.max_abs_deviation)
@@ -689,6 +689,49 @@ class TestStructuredKronecker:
                 np.testing.assert_array_equal(
                     normal_log_density_batch(q, points), normal_log_density_batch(p, points)
                 )
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 3, 4), (16, 16, 4), (16, 16, 16)], ids=lambda d: "x".join(map(str, d))
+    )
+    def test_batch_equals_pointwise_bit_for_bit(self, dims):
+        # A point's log-density is the one-row case of the batch: the same
+        # whitening and one contiguous dot per row, whatever the block.
+        rng = np.random.default_rng(89)
+        f = random_spd_factors(rng, dims)
+        p = TensorNormalParams(random_dense(rng, dims), f)
+        pts = rng.standard_normal((6, f.shape.nstar))
+        single = [normal_log_density(p, DenseTensor(x, f.shape)) for x in pts]
+        np.testing.assert_array_equal(normal_log_density_batch(p, pts), single)
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (4, 4, 4)], ids=["2", "2x2", "4x4x4"])
+    def test_dense_rows_do_not_depend_on_their_block(self, dims):
+        # LAPACK solves a lone right-hand side with trsv and several with
+        # trsm, which round differently.  So a dense scale's one-point case
+        # may sit an ulp or two from the batch, while a row gets the same
+        # bits in every batch of two or more rows.
+        rng = np.random.default_rng(90)
+        p = TensorNormalParams(random_dense(rng, dims), random_spd(rng, dims))
+        shape = p.shape
+        pts = rng.standard_normal((8, shape.nstar))
+        batch = normal_log_density_batch(p, pts)
+        pairs = [normal_log_density_batch(p, pts[[k, k - 1]])[0] for k in range(8)]
+        np.testing.assert_array_equal(pairs, batch)
+        single = np.array([normal_log_density(p, DenseTensor(x, shape)) for x in pts])
+        assert np.all(np.abs(single - batch) <= 4 * np.spacing(np.abs(batch)))
+
+    @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
+    def test_one_factor_draws_equal_the_dense_scale(self, kernel):
+        # One row operator for every scale: a one-factor Kronecker scale is
+        # the dense scale, down to the bytes of its draws.
+        rng = np.random.default_rng(91)
+        a = matricize(random_spd(rng, (16,)))
+        loc = random_dense(rng, (16,))
+        dense = EllipticalParams(loc, unmatricize(a, Shape((16,))), kernel)
+        kron = EllipticalParams(loc, KroneckerFactors((a,)), kernel)
+        np.testing.assert_array_equal(
+            elliptical_sample(kron, RngSeed(12), 500).to_matrix(),
+            elliptical_sample(dense, RngSeed(12), 500).to_matrix(),
+        )
 
     def test_negated_factors_accepted(self):
         rng = np.random.default_rng(84)

@@ -83,6 +83,8 @@ class TestJsonTensor:
             json.dumps(
                 {"kind": "square2d", "rowShape": [True], "shape": [True, True], "data": [4.0]}
             ).encode(),
+            # an integer literal beyond Python's 4300-digit conversion limit
+            b'{"kind": "tensor", "shape": [1], "data": [' + b"9" * 5001 + b"]}",
         ]:
             (tmp_path / "bad.json").write_bytes(payload)
             with pytest.raises(FileFormatError):
@@ -323,6 +325,24 @@ class TestJsonSampleErrors:
         doc["observations"].append({"kind": "tensor", "shape": [2], "data": data})
         with pytest.raises(FileFormatError):
             read_sample_set(self.write(tmp_path, doc))
+
+    def test_over_long_integer_is_a_format_error(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('[{"kind": "tensor", "shape": [1], "data": [' + "9" * 5001 + "]}]")
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            read_sample_set(str(path))
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            read_params(str(path))
+
+    @pytest.mark.parametrize("indent", [None, 2], ids=["canonical", "indented"])
+    def test_huge_shape_with_no_observations_rejected(self, tmp_path, indent):
+        # The same size check as the binary header, before any allocation.
+        doc = {"kind": "samples", "shape": [2**32] * 3, "count": 0, "seed": None,
+               "observations": []}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc, indent=indent) + "\n")
+        with pytest.raises(FileFormatError, match="too large"):
+            read_sample_set(str(path))
 
     def test_non_finite_names_the_observation(self, tmp_path):
         doc = self.samples_doc([[1.0, 2.0], [3.0, 4.0]])
