@@ -27,6 +27,7 @@ import numpy as np
 from .distributions import (
     EllipticalParams,
     RngSeed,
+    _density_from_log,
     elliptical_log_density,
     elliptical_sample,
     kernel_from_spec,
@@ -197,7 +198,7 @@ def _cmd_density(args) -> int:
     if not isinstance(point, DenseTensor):
         raise FileFormatError("the evaluation point must be a plain tensor")
     value = elliptical_log_density(params, point)
-    print(_fmt(value if args.log else float(np.exp(value))))
+    print(_fmt(value if args.log else _density_from_log(value)))
     return EXIT_OK
 
 

@@ -11,11 +11,13 @@ equivalence stays testable.
 
 The elliptical family generalizes the normal by a pluggable radial kernel
 ``g``; densities are ``c * g(q)`` with the determinant factor folded into
-the cached normalizer.  The tensor normal is the elliptical law with
+the normalizer ``c``.  The tensor normal is the elliptical law with
 ``g(q) = exp(-q/2)``, so its parameters are elliptical parameters with the
-normal kernel.  All densities are computed and exposed in log
-space, since the linear density underflows quickly as ``nstar`` grows;
-linear-space wrappers are thin exponentials.
+normal kernel, and every log-density, normal or not, one point or a batch,
+is ``log c + log g(q)`` over the rows' quadratic forms.  All densities are
+computed and exposed in log space, since the linear density underflows
+quickly as ``nstar`` grows; the linear-space wrappers are exponentials
+that give ``inf`` where the density overflows float64 (a tiny scale).
 
 Scales may be dense square tensors or per-mode Kronecker factor lists,
 held as lower factors whose Kronecker product is the Cholesky factor of
@@ -64,6 +66,7 @@ __all__ = [
     "normal_density",
     "normal_sample",
     "elliptical_log_density",
+    "elliptical_log_density_batch",
     "elliptical_density",
     "elliptical_sample",
     "fit_normal",
@@ -109,8 +112,9 @@ class RadialKernel:
     ``g`` must be positive and decreasing on ``[0, inf)``.  The normalizing
     constant returned by :meth:`log_norm_constant` excludes the determinant
     factor, which the parameter object folds in, so the kernel depends only
-    on the scalar quadratic form.  Kernels without a registered radial
-    sampler can still evaluate densities.
+    on the quadratic form.  :meth:`log_g` takes an array of quadratic forms,
+    one per point, and returns their ``log g`` elementwise.  Kernels without
+    a registered radial sampler can still evaluate densities.
     """
 
     name: str = "?"
@@ -190,11 +194,16 @@ class StudentKernel(RadialKernel):
             )
 
     def log_g(self, q, nstar: int):
-        ratio = float(q) / self.nu
-        if math.isfinite(ratio):
-            return -0.5 * (self.nu + nstar) * np.log1p(ratio)
-        # q / nu overflows at tiny nu; the same logarithm without the quotient.
-        log1p_ratio = math.log(q) - math.log(self.nu) + math.log1p(self.nu / q)
+        q = np.asarray(q, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            ratio = q / self.nu
+            # q / nu overflows at tiny nu; there, the same logarithm without
+            # the quotient.
+            log1p_ratio = np.where(
+                np.isfinite(ratio),
+                np.log1p(ratio),
+                np.log(q) - np.log(self.nu) + np.log1p(self.nu / q),
+            )
         return -0.5 * (self.nu + nstar) * log1p_ratio
 
     def log_norm_constant(self, nstar: int) -> float:
@@ -249,13 +258,12 @@ class EllipticalParams:
     :attr:`scale_tensor`, :attr:`chol`: the vec-space oracle) are built on
     first use and cached.  The :attr:`log_normalizer` already includes the
     determinant factor of the scale, so the kernel's ``log_g`` sees only
-    the scalar quadratic form; it too is computed on first use, since
-    sampling never needs it.  Instances are immutable after construction.
+    the quadratic form.  Instances are immutable after construction.
     """
 
     __slots__ = (
         "location", "scale", "kernel", "log_det",
-        "_lowers", "_scale_matrix", "_chol", "_log_normalizer",
+        "_lowers", "_scale_matrix", "_chol",
     )
 
     def __init__(self, location: DenseTensor, scale: ScaleSpec, kernel: RadialKernel):
@@ -283,7 +291,6 @@ class EllipticalParams:
         self.kernel = kernel
         self._scale_matrix = None
         self._chol = None
-        self._log_normalizer = None
         nstar = location.shape.nstar
         self.log_det = sum(
             (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
@@ -301,12 +308,7 @@ class EllipticalParams:
     @property
     def log_normalizer(self) -> float:
         """Log of the density's constant factor, determinant included."""
-        if self._log_normalizer is None:
-            value = self.kernel.log_norm_constant(self.nstar) - 0.5 * self.log_det
-            if not math.isfinite(value):
-                raise ValueError("normalizing constant is not finite and positive")
-            self._log_normalizer = value
-        return self._log_normalizer
+        return _log_normalizer(self, self.kernel)
 
     @property
     def scale_matrix(self) -> np.ndarray:
@@ -381,22 +383,43 @@ def _point_rows(p: EllipticalParams, x: DenseTensor) -> np.ndarray:
     return vec(x)[None, :]
 
 
-def _quadratic_forms(p: EllipticalParams, rows: np.ndarray) -> np.ndarray:
-    # Each row's deviation against the inverse scale, by solves against
-    # the factors (never an explicit inverse), then one contiguous dot per
-    # row: the same bits as ``z @ z`` of that row alone.
+def _batch_rows(p: EllipticalParams, points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != p.nstar:
+        raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
+    return pts
+
+
+def _log_normalizer(p: EllipticalParams, kernel: RadialKernel) -> float:
+    value = kernel.log_norm_constant(p.nstar) - 0.5 * p.log_det
+    if not math.isfinite(value):
+        raise ValueError("normalizing constant is not finite and positive")
+    return value
+
+
+def _log_densities(p: EllipticalParams, kernel: RadialKernel, rows: np.ndarray) -> np.ndarray:
+    # log c + log g(q) for each (N, nstar) row under ``kernel`` with ``p``'s
+    # location and scale.  Each row's deviation is whitened by solves
+    # against the factors (never an explicit inverse), then q is one
+    # contiguous dot per row: the same bits as ``z @ z`` of that row alone.
     z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
-    return np.vecdot(z, z)
+    return _log_normalizer(p, kernel) + kernel.log_g(np.vecdot(z, z), p.nstar)
+
+
+def _density_from_log(log_density: float) -> float:
+    # The linear density; inf once it overflows, as ``linalg.det`` gives.
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_density))
 
 
 def normal_log_density(p: EllipticalParams, x: DenseTensor) -> float:
     """Log-density at ``x`` of the tensor normal with ``p``'s location and scale.
 
-    The Gaussian formula is used whatever ``p``'s kernel, which keeps it
-    an independent reference for :func:`elliptical_log_density` with the
-    normal kernel.  The one-point case of :func:`normal_log_density_batch`.
+    The normal kernel's case of :func:`elliptical_log_density`, whatever
+    ``p``'s kernel, and the one-point case of
+    :func:`normal_log_density_batch`.
     """
-    return float(normal_log_density_batch(p, _point_rows(p, x))[0])
+    return float(_log_densities(p, NormalKernel(), _point_rows(p, x))[0])
 
 
 def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
@@ -415,24 +438,21 @@ def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
 
 
 def normal_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndarray:
-    """Vectorized log-density over rows of ``points`` (vectorized tensors).
+    """Vectorized normal log-density over rows of ``points`` (vectorized tensors).
 
-    All rows are whitened in one pass over the factors, and a row's value
-    does not depend on the rows around it.  The one exception is a single
-    row against a factor that spans all of ``nstar`` (a dense scale): LAPACK
-    solves its lone right-hand side with a kernel that can round an ulp
-    apart from the batch's.
+    The normal kernel's case of :func:`elliptical_log_density_batch`,
+    whatever ``p``'s kernel.  All rows are whitened in one pass over the
+    factors, and a row's value does not depend on the rows around it.  The
+    one exception is a single row against a factor that spans all of
+    ``nstar`` (a dense scale): LAPACK solves its lone right-hand side with a
+    kernel that can round an ulp apart from the batch's.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != p.nstar:
-        raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
-    q = _quadratic_forms(p, pts)
-    return -0.5 * (p.nstar * LN_2PI + p.log_det + q)
+    return _log_densities(p, NormalKernel(), _batch_rows(p, points))
 
 
 def normal_density(p: EllipticalParams, x: DenseTensor) -> float:
-    """Linear-space density; thin exponential wrapper over the log form."""
-    return math.exp(normal_log_density(p, x))
+    """Linear-space density: the exponential of the log form, ``inf`` once it overflows."""
+    return _density_from_log(normal_log_density(p, x))
 
 
 def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int) -> SampleSet:
@@ -464,14 +484,26 @@ def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
 
 
 def elliptical_log_density(p: EllipticalParams, x: DenseTensor) -> float:
-    """Log-density ``log c + log g(q)`` of the elliptical law at ``x``."""
-    q = float(_quadratic_forms(p, _point_rows(p, x))[0])
-    return p.log_normalizer + float(p.kernel.log_g(q, p.nstar))
+    """Log-density ``log c + log g(q)`` of the elliptical law at ``x``.
+
+    The one-point case of :func:`elliptical_log_density_batch`.
+    """
+    return float(_log_densities(p, p.kernel, _point_rows(p, x))[0])
+
+
+def elliptical_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndarray:
+    """Log-density of ``p``'s law over rows of ``points`` (vectorized tensors).
+
+    Whitens all rows in one pass over the factors, as
+    :func:`normal_log_density_batch` does, and applies ``p``'s kernel to
+    the array of quadratic forms.
+    """
+    return _log_densities(p, p.kernel, _batch_rows(p, points))
 
 
 def elliptical_density(p: EllipticalParams, x: DenseTensor) -> float:
-    """Linear-space density; thin exponential wrapper over the log form."""
-    return math.exp(elliptical_log_density(p, x))
+    """Linear-space density: the exponential of the log form, ``inf`` once it overflows."""
+    return _density_from_log(elliptical_log_density(p, x))
 
 
 def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:

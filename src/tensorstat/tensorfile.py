@@ -4,7 +4,8 @@ JSON formats (UTF-8, one object per file):
 
 * single tensor   ``{"kind": "tensor", "shape": [...], "data": [...]}``
 * square tensor   ``{"kind": "square2d", "rowShape": [...], "shape": [...],
-  "data": [...]}`` with ``data`` of length ``nstar**2``
+  "data": [...]}`` with ``data`` of length ``nstar**2``; ``shape`` may be
+  left out, and when present must be ``rowShape`` twice
 * sample set      ``{"kind": "samples", "shape": [...], "count": N,
   "seed": <int or null>, "observations": [<tensor objects>]}``; on read
   ``count``, when present, must match the observations, and a bare JSON
@@ -139,7 +140,13 @@ def tensor_from_obj(obj) -> AnyTensor:
             row = obj.get("rowShape")
             if row is None:
                 raise FileFormatError("square2d tensor objects require a 'rowShape' field")
-            return SquareTensor(data, _require_shape(row))
+            row_shape = _require_shape(row)
+            if "shape" in obj and _require_shape(obj["shape"]).dims != row_shape.dims * 2:
+                raise FileFormatError(
+                    f"square2d shape {obj['shape']!r} must be the rowShape twice, "
+                    f"{list(row_shape.dims) * 2!r}"
+                )
+            return SquareTensor(data, row_shape)
     except (ShapeError, ValueError, TypeError, OverflowError) as e:
         if isinstance(e, FileFormatError):
             raise

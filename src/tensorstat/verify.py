@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .distributions import (
+    LN_2PI,
     EllipticalParams,
     NormalKernel,
     RngSeed,
@@ -408,12 +409,18 @@ def _check_moment_recovery_cov(rng, shape, n):
 
 
 def _check_elliptical_normal(rng, shape):
+    # The kernel route, normal kernel, against the paper's tensor form of
+    # the Gaussian density: the double-dot quadratic form of the deviation
+    # with the inverse scale, and the LU log-determinant of the scale.
     loc = _random_dense(rng, shape)
     scale = _random_spd(rng, shape)
-    pn = TensorNormalParams(loc, scale)
     pe = EllipticalParams(loc, scale, NormalKernel())
     x = _random_near(rng, loc)
-    return abs(elliptical_log_density(pe, x) - normal_log_density(pn, x))
+    d = x - loc
+    q = double_dot_quadratic(d, linalg.inverse(scale), d)
+    _sign, log_det = linalg.slogdet(scale)
+    ref = -0.5 * (shape.nstar * LN_2PI + log_det + q)
+    return abs(elliptical_log_density(pe, x) - ref)
 
 
 def _check_elliptical_student_cov(rng, shape, n):

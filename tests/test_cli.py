@@ -392,6 +392,23 @@ class TestDensity:
         assert code == 0
         assert out.strip() == expected
 
+    @pytest.mark.parametrize("family", ["normal", "student:5"])
+    def test_overflowing_linear_density_prints_inf(self, capsys, tmp_path, family):
+        # At scale 1e-200 I the log-density at the location is about 917,
+        # beyond exp's float64 range; the linear density is inf, as det's
+        # is, with no warning.
+        params, point = tmp_path / "p.json", tmp_path / "pt.json"
+        loc = DenseTensor.zeros((2, 2))
+        write_params(str(params), loc, 1e-200 * SquareTensor.identity((2, 2)))
+        write_tensor(str(point), loc)
+        code, out, err = run(capsys, "density", str(params), str(point), "--family", family)
+        assert (code, out, err) == (0, "inf\n", "")
+        code, out, err = run(
+            capsys, "density", str(params), str(point), "--family", family, "--log"
+        )
+        assert (code, err) == (0, "")
+        assert 709.8 < float(out) < math.inf
+
     def test_student_family(self, capsys, tmp_path, std_normal_params):
         point = tmp_path / "pt.json"
         write_tensor(str(point), DenseTensor.zeros((1,)))

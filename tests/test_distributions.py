@@ -15,6 +15,7 @@ from tensorstat.distributions import (
     TensorNormalParams,
     elliptical_density,
     elliptical_log_density,
+    elliptical_log_density_batch,
     elliptical_sample,
     fit_normal,
     kernel_from_spec,
@@ -432,6 +433,33 @@ class TestElliptical:
             elliptical_sample(pe, RngSeed(0), 4)
 
 
+class TestKernelArrays:
+    @pytest.mark.parametrize("nu", [5.0, 0.5, 1e-300])
+    def test_student_log_g_over_an_array_equals_pointwise(self, nu):
+        # q = 0, ordinary q, and at nu = 1e-300 a q whose q / nu overflows
+        # float64, so the branch without the quotient; no warning either way.
+        kernel = StudentKernel(nu=nu)
+        q = np.array([0.0, 0.5, 3.0, 17.25, 2e10])
+        got = kernel.log_g(q, 4)
+        assert got.shape == q.shape
+        np.testing.assert_array_equal(got, [kernel.log_g(float(v), 4) for v in q])
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize(
+    "kernel", [NormalKernel(), StudentKernel(nu=5.0)], ids=["normal", "student:5"]
+)
+def test_overflowing_linear_density_is_inf(kernel):
+    # At scale 1e-200 I the log-density at the location is about 917, beyond
+    # exp's float64 range; the linear wrappers give inf, as det does.
+    loc = DenseTensor.zeros((2, 2))
+    p = EllipticalParams(loc, 1e-200 * SquareTensor.identity((2, 2)), kernel)
+    assert 709.8 < elliptical_log_density(p, loc) < math.inf
+    assert elliptical_density(p, loc) == math.inf
+    assert 709.8 < normal_log_density(p, loc) < math.inf
+    assert normal_density(p, loc) == math.inf
+
+
 class TestFitNormal:
     def test_requires_two_observations(self):
         s_single = normal_sample(
@@ -693,15 +721,21 @@ class TestStructuredKronecker:
     @pytest.mark.parametrize(
         "dims", [(2, 2), (2, 3, 4), (16, 16, 4), (16, 16, 16)], ids=lambda d: "x".join(map(str, d))
     )
-    def test_batch_equals_pointwise_bit_for_bit(self, dims):
+    @pytest.mark.parametrize(
+        "kernel", [NormalKernel(), StudentKernel(nu=5.0)], ids=["normal", "student:5"]
+    )
+    def test_batch_equals_pointwise_bit_for_bit(self, dims, kernel):
         # A point's log-density is the one-row case of the batch: the same
         # whitening and one contiguous dot per row, whatever the block.
         rng = np.random.default_rng(89)
         f = random_spd_factors(rng, dims)
-        p = TensorNormalParams(random_dense(rng, dims), f)
+        p = EllipticalParams(random_dense(rng, dims), f, kernel)
         pts = rng.standard_normal((6, f.shape.nstar))
-        single = [normal_log_density(p, DenseTensor(x, f.shape)) for x in pts]
+        points = [DenseTensor(x, f.shape) for x in pts]
+        single = [normal_log_density(p, x) for x in points]
         np.testing.assert_array_equal(normal_log_density_batch(p, pts), single)
+        single = [elliptical_log_density(p, x) for x in points]
+        np.testing.assert_array_equal(elliptical_log_density_batch(p, pts), single)
 
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (4, 4, 4)], ids=["2", "2x2", "4x4x4"])
     def test_dense_rows_do_not_depend_on_their_block(self, dims):

@@ -83,6 +83,10 @@ class TestJsonTensor:
             json.dumps(
                 {"kind": "square2d", "rowShape": [True], "shape": [True, True], "data": [4.0]}
             ).encode(),
+            # a shape that is not the rowShape twice
+            json.dumps(
+                {"kind": "square2d", "rowShape": [2], "shape": [3, 3], "data": [2, 0, 0, 2]}
+            ).encode(),
             # an integer literal beyond Python's 4300-digit conversion limit
             b'{"kind": "tensor", "shape": [1], "data": [' + b"9" * 5001 + b"]}",
         ]:

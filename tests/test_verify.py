@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from tensorstat import linalg, verify
-from tensorstat.distributions import TensorNormalParams, normal_log_density_batch
+from tensorstat.distributions import (
+    EllipticalParams,
+    TensorNormalParams,
+    normal_log_density_batch,
+)
 from tensorstat.tensor_core import DenseTensor, Shape, unmatricize, vec
 
 
@@ -71,6 +75,31 @@ def test_density_normalization_matches_the_full_grid():
     )
     assert samples == 1601**2
     assert deviation.hex() == full.hex()
+
+
+def elliptical_normal_consistency():
+    _name, tolerance, check = next(
+        c for c in verify._CHECKS if c[0] == "elliptical-normal-consistency"
+    )
+    deviation, samples = check(np.random.default_rng(0), Shape((2, 2)), 100)
+    assert samples == verify.INSTANCES
+    return deviation, tolerance
+
+
+def test_elliptical_normal_consistency_compares_two_computations():
+    # The kernel route against the tensor form: rounding apart, not equal.
+    deviation, tolerance = elliptical_normal_consistency()
+    assert 0.0 < deviation <= tolerance
+
+
+def test_perturbed_whitening_fails_elliptical_normal_consistency(monkeypatch):
+    # A whitening off by one part in a million must show.
+    exact = EllipticalParams._along_modes
+    monkeypatch.setattr(
+        EllipticalParams, "_along_modes", lambda p, op, rows: exact(p, op, rows) * (1 + 1e-6)
+    )
+    deviation, tolerance = elliptical_normal_consistency()
+    assert deviation > tolerance
 
 
 @pytest.mark.parametrize("name", ["mat-roundtrip", "det-product", "sampling-determinism"])
