@@ -18,6 +18,7 @@ the general ones.  Order-0 tensors (scalars) are rejected at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -56,8 +57,13 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # operator.index takes Python and numpy integers and refuses floats
+        # and strings; bool is an int, so it is refused by name.
         try:
-            dims = tuple(int(n) for n in self.dims)
+            dims = tuple(self.dims)
+            if any(isinstance(n, bool) for n in dims):
+                raise TypeError
+            dims = tuple(operator.index(n) for n in dims)
         except TypeError:
             raise ShapeError(
                 f"dims must be a sequence of integers, got {self.dims!r}"
@@ -278,7 +284,7 @@ class SquareTensor(_Tensor):
     @classmethod
     def from_array(cls, array) -> "SquareTensor":
         """Build from an order-2D array whose two index blocks agree."""
-        a = np.asarray(array, dtype=np.float64)
+        a = np.array(array, dtype=np.float64, order="F", copy=True)
         if a.ndim % 2 != 0 or a.ndim == 0:
             raise ShapeError(f"expected an even-order array, got order {a.ndim}")
         half = a.ndim // 2
@@ -287,9 +293,8 @@ class SquareTensor(_Tensor):
                 f"index blocks must share dimension lengths, got {a.shape}"
             )
         row_shape = Shape(a.shape[:half])
-        flat = a.ravel(order="F")
-        _require_finite(flat)
-        return cls._wrap(flat.reshape(row_shape.dims * 2, order="F"), row_shape)
+        _require_finite(a)
+        return cls._wrap(a, row_shape)
 
     @classmethod
     def identity(cls, row_shape: ShapeLike) -> "SquareTensor":

@@ -379,18 +379,13 @@ def _check_density_normalization(rng, shape, n):
         DenseTensor.zeros(grid_shape),
         unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), grid_shape),
     )
-    axis = np.linspace(-8.0, 8.0, 1601)
-    # The inner integrals over y, 64 rows of x at a time, so only one block
-    # of the 1601 x 1601 grid is held; each row's integral is the one the
-    # full grid gives.
-    inner = np.empty(axis.size)
-    for lo in range(0, axis.size, 64):
-        xs = axis[lo:lo + 64]
-        # (x_i, y_j) rows, x slowest.
-        pts = np.stack(np.meshgrid(xs, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        dens = np.exp(normal_log_density_batch(p, pts)).reshape(xs.size, axis.size)
-        inner[lo:lo + xs.size] = np.trapezoid(dens, axis, axis=1)
-    integral = float(np.trapezoid(inner, axis))
+    # The trapezoid rule converges geometrically on a smooth, fast-decaying
+    # integrand: step 0.08 gives the same bits as step 0.01 (a test checks).
+    axis = np.linspace(-8.0, 8.0, 201)
+    # (x_i, y_j) rows, x slowest.
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    dens = np.exp(normal_log_density_batch(p, pts)).reshape(axis.size, axis.size)
+    integral = float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis))
     return abs(integral - 1.0), axis.size**2
 
 
@@ -509,10 +504,7 @@ def run_verification(
         raise ValueError(f"unknown check {corrupt!r}; known checks: {', '.join(CHECK_NAMES)}")
     results = []
     for index, (name, tolerance, fn) in enumerate(_CHECKS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
-        )
-        deviation, samples = fn(rng, shape, n)
+        deviation, samples = fn(RngSeed(seed, index).generator(), shape, n)
         if corrupt == name:
             deviation = tolerance + max(1.0, tolerance)
         results.append(

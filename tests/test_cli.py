@@ -682,6 +682,20 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exits_2_as_sample_does(
+        self, capsys, tmp_path, std_normal_params, seed
+    ):
+        message = "error: seed must fit in an unsigned 64-bit integer\n"
+        code, out, err = run(capsys, "verify", "--n", "10", "--seed", seed)
+        assert (code, out, err) == (2, "", message)
+        out_path = tmp_path / "s.json"
+        code, out, err = run(
+            capsys, "sample", std_normal_params, str(out_path), "--count", "1", "--seed", seed
+        )
+        assert (code, out, err) == (2, "", message)
+        assert not out_path.exists()
+
     def test_one_observation_exits_2_before_any_check(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "1")
         assert (code, out, err) == (2, "", "error: --n must be at least 2\n")

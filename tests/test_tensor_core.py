@@ -72,6 +72,16 @@ class TestShape:
         with pytest.raises(ShapeError):
             Shape((-1,))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2.0,), ("3",), (True, 2), (np.float64(2),)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ShapeError):
+            Shape(dims)
+        with pytest.raises(ShapeError):
+            DenseTensor([1.0, 2.0, 3.0, 4.0], dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        assert Shape((np.int64(2), np.int32(3))).dims == (2, 3)
+
 
 class TestDenseTensor:
     def test_data_length_must_match(self):
@@ -385,6 +395,13 @@ class TestSquareTensorConstruction:
             SquareTensor.from_array(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             SquareTensor.from_array(np.zeros((2, 2, 2)))
+
+    def test_from_array_copies_its_input(self):
+        a = np.asfortranarray(np.eye(4).reshape(2, 2, 2, 2, order="F"))
+        x = SquareTensor.from_array(a)
+        a[0, 0, 0, 0] = 5.0
+        assert not np.shares_memory(x.array, a)
+        assert x == SquareTensor.identity((2, 2))
 
     def test_from_array_matches_from_matrix(self):
         rng = np.random.default_rng(16)

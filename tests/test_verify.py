@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tensorstat import linalg, verify
+from tensorstat import distributions, linalg, verify
 from tensorstat.distributions import (
     EllipticalParams,
+    NormalKernel,
     TensorNormalParams,
     normal_log_density_batch,
 )
@@ -60,8 +61,8 @@ def test_repeated_reduces_one_nan_instance_to_nan():
 
 
 def test_density_normalization_matches_the_full_grid():
-    # The quadrature runs over blocks of grid rows; its deviation must be
-    # the one the whole 1601 x 1601 grid at once gives, bit for bit.
+    # The quadrature runs on a 201 x 201 grid over the same box; its
+    # deviation must be the one the whole 1601 x 1601 grid gives, bit for bit.
     shape = Shape((2,))
     p = TensorNormalParams(
         DenseTensor.zeros(shape), unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), shape)
@@ -73,8 +74,44 @@ def test_density_normalization_matches_the_full_grid():
     deviation, samples = verify._check_density_normalization(
         np.random.default_rng(0), Shape((2, 2)), 100
     )
-    assert samples == 1601**2
+    assert samples == 201**2
     assert deviation.hex() == full.hex()
+
+
+def density_normalization():
+    _name, tolerance, check = next(
+        c for c in verify._CHECKS if c[0] == "density-normalization"
+    )
+    deviation, _samples = check(np.random.default_rng(0), Shape((2, 2)), 100)
+    return deviation, tolerance
+
+
+def test_density_normalization_reads_rounding_only():
+    deviation, _tolerance = density_normalization()
+    assert deviation <= 1e-14
+
+
+@pytest.mark.parametrize("factor, expected", [(1.0011, 1.1e-3), (0.998, 2.0e-3)])
+def test_scaled_normalizer_fails_density_normalization(monkeypatch, factor, expected):
+    exact = NormalKernel.log_norm_constant
+    monkeypatch.setattr(
+        NormalKernel,
+        "log_norm_constant",
+        lambda kernel, nstar: exact(kernel, nstar) + math.log(factor),
+    )
+    deviation, tolerance = density_normalization()
+    assert deviation > tolerance
+    assert deviation == pytest.approx(expected, rel=1e-6)
+
+
+def test_doubled_log_det_fails_density_normalization(monkeypatch):
+    exact = distributions._log_normalizer
+    monkeypatch.setattr(
+        distributions, "_log_normalizer", lambda p, kernel: exact(p, kernel) - 0.5 * p.log_det
+    )
+    deviation, tolerance = density_normalization()
+    assert deviation > tolerance
+    assert deviation == pytest.approx(4.83e-2, rel=1e-3)
 
 
 def elliptical_normal_consistency():
