@@ -6,11 +6,12 @@ files), ``density`` and ``sample`` (tensor normal and elliptical laws), and
 ``verify`` (the full invariant and Monte-Carlo suite).
 
 Exit codes: 0 success, 1 ``verify`` found a failing check, 2 malformed
-input or usage error, 3 mathematical precondition failure (singular
-tensor, non-positive-definite scale, degenerate variance).  Scalars print
-with 17 significant digits so they round-trip.  ``TENSORSTAT_SEED``
-supplies a default seed where one is not given on the command line; the
-flag wins.  The path ``-`` means stdin or stdout.
+input or usage error (a request too large to allocate included), 3
+mathematical precondition failure (singular tensor, non-positive-definite
+scale, degenerate variance).  Scalars print with 17 significant digits so
+they round-trip.  ``TENSORSTAT_SEED`` supplies a default seed where one is
+not given on the command line; the flag wins.  The path ``-`` means stdin
+or stdout.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     except (SingularTensorError, SymmetryError, DefinitenessError, DegenerateVarianceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
-    except (OSError, struct.error, ValueError) as e:
+    except (OSError, struct.error, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

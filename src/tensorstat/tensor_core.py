@@ -271,7 +271,8 @@ class SquareTensor(_Tensor):
     def from_matrix(cls, matrix, row_shape: ShapeLike) -> "SquareTensor":
         """Build from an ``nstar x nstar`` matrix in the shared convention."""
         row_shape = as_shape(row_shape)
-        m = np.array(matrix, dtype=np.float64, copy=True)
+        # One column-major copy, so the reshape below is a view of it.
+        m = np.array(matrix, dtype=np.float64, order="F", copy=True)
         n = row_shape.nstar
         if m.shape != (n, n):
             raise ShapeError(

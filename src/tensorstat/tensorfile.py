@@ -18,7 +18,9 @@ JSON formats (UTF-8, one object per file):
   or {"kind": "kronecker", "factors": [<order-2 tensor objects>]}>}``
 
 All data arrays are column-major and numbers serialize as shortest
-round-trip decimals, so write-then-read is bit-exact.
+round-trip decimals, so write-then-read is bit-exact.  Every data entry
+must be a JSON number: strings, ``true``/``false``, ``null`` and nested
+arrays are refused, as are integers beyond the float64 range.
 
 Binary formats (little-endian, magic ``TST1``):
 
@@ -96,14 +98,13 @@ def _parse_json(raw: bytes):
 
 
 def _require_shape(dims) -> Shape:
-    # Every reader's shape check, before anything is allocated: one or more
-    # positive integers (type(), as JSON true is a bool and bool an int)
-    # whose float64 tensor can be addressed.
-    if not isinstance(dims, (list, tuple)) or not dims or not all(
-        type(n) is int and n >= 1 for n in dims
-    ):
-        raise FileFormatError(f"shape must be one or more positive integers, got {dims!r}")
-    shape = Shape(tuple(dims))
+    # Every reader's shape check, before anything is allocated: Shape's own
+    # rule (one or more integers >= 1, no bools), and a float64 tensor that
+    # can be addressed.
+    try:
+        shape = Shape(dims)
+    except ShapeError as e:
+        raise FileFormatError(f"invalid tensor shape: {e}") from None
     if 8 * shape.nstar > sys.maxsize:
         raise FileFormatError(f"tensor shape {shape} is too large")
     return shape
@@ -125,42 +126,60 @@ def tensor_to_obj(t: AnyTensor) -> dict:
     }
 
 
-def tensor_from_obj(obj) -> AnyTensor:
-    """Rebuild a tensor from its JSON dict form."""
+def _tensor_fields(obj) -> tuple[str, Shape, list]:
+    # The header checks of every JSON tensor object: a dict, a data list, a
+    # known kind and its shape (for square2d the row shape, and the full
+    # shape, when given, must be the row shape twice).  The data is
+    # returned as parsed, for one conversion by the caller.
     if not isinstance(obj, dict):
         raise FileFormatError("tensor object must be a JSON object")
     kind = obj.get("kind", "tensor")
     data = obj.get("data")
     if not isinstance(data, list):
         raise FileFormatError("tensor object must carry a 'data' array")
+    if kind == "tensor":
+        return kind, _require_shape(obj.get("shape")), data
+    if kind != "square2d":
+        raise FileFormatError(f"unknown tensor kind {kind!r}")
+    row = obj.get("rowShape")
+    if row is None:
+        raise FileFormatError("square2d tensor objects require a 'rowShape' field")
+    row_shape = _require_shape(row)
+    if "shape" in obj and _require_shape(obj["shape"]).dims != row_shape.dims * 2:
+        raise FileFormatError(
+            f"square2d shape {obj['shape']!r} must be the rowShape twice, "
+            f"{list(row_shape.dims) * 2!r}"
+        )
+    return kind, row_shape, data
+
+
+def _json_numbers(values: list) -> np.ndarray:
+    # The one conversion of JSON data to float64.  json.loads gives a JSON
+    # number as an int or a float; anything else (bool, a subclass of int,
+    # str, None, list or dict) is refused by its exact type.
+    if not {int, float}.issuperset(map(type, values)):
+        raise FileFormatError("tensor data must be a flat list of numbers")
     try:
-        if kind == "tensor":
-            return DenseTensor(data, _require_shape(obj.get("shape")))
-        if kind == "square2d":
-            row = obj.get("rowShape")
-            if row is None:
-                raise FileFormatError("square2d tensor objects require a 'rowShape' field")
-            row_shape = _require_shape(row)
-            if "shape" in obj and _require_shape(obj["shape"]).dims != row_shape.dims * 2:
-                raise FileFormatError(
-                    f"square2d shape {obj['shape']!r} must be the rowShape twice, "
-                    f"{list(row_shape.dims) * 2!r}"
-                )
-            return SquareTensor(data, row_shape)
-    except (ShapeError, ValueError, TypeError, OverflowError) as e:
-        if isinstance(e, FileFormatError):
-            raise
+        return np.array(values, dtype=np.float64)
+    except OverflowError as e:
+        raise FileFormatError(f"tensor data must be finite numbers: {e}") from None
+
+
+def tensor_from_obj(obj) -> AnyTensor:
+    """Rebuild a tensor from its JSON dict form."""
+    kind, shape, data = _tensor_fields(obj)
+    values = _json_numbers(data)
+    try:
+        return (DenseTensor if kind == "tensor" else SquareTensor)(values, shape)
+    except ValueError as e:  # the length and finiteness checks
         raise FileFormatError(str(e)) from None
-    raise FileFormatError(f"unknown tensor kind {kind!r}")
 
 
-def _binary_dims(dims: tuple[int, ...]) -> bytes:
-    return struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
-
-
-def _binary_tensor(t: AnyTensor) -> bytes:
-    dims = t.row_shape.dims * 2 if isinstance(t, SquareTensor) else t.shape.dims
-    return _binary_dims(dims) + np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+def _binary_header(dims: tuple[int, ...], count: Optional[int] = None) -> bytes:
+    # Magic, the sample set's u64 count (none for a single tensor), u8
+    # order and u32 dims.
+    counted = b"" if count is None else struct.pack("<Q", count)
+    return MAGIC + counted + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
 
 
 def _unpack(fmt: str, raw: bytes, offset: int) -> tuple[tuple, int]:
@@ -170,45 +189,43 @@ def _unpack(fmt: str, raw: bytes, offset: int) -> tuple[tuple, int]:
     return struct.unpack_from(fmt, raw, offset), end
 
 
-def _parse_binary_header(raw: bytes, offset: int) -> tuple[Shape, int]:
-    (order,), offset = _unpack("<B", raw, offset)
-    dims, offset = _unpack(f"<{order}I", raw, offset)
-    return _require_shape(dims), offset
-
-
-def _parse_binary_block(raw: bytes, offset: int, count: int, shape: Shape) -> np.ndarray:
-    # The rest of the file: ``count`` vectorized tensors of ``shape`` as a
-    # count x nstar matrix.  The size is checked before anything is
-    # allocated; the payload is copied once because the header leaves it
-    # misaligned for float64.
-    nstar = shape.nstar
-    expected = offset + 8 * count * nstar
-    if len(raw) < expected:
-        raise FileFormatError(
-            f"binary payload is truncated: {len(raw)} bytes, expected {expected}"
-        )
-    if len(raw) > expected:
-        raise FileFormatError(
-            f"binary file has {len(raw) - expected} trailing bytes"
-        )
-    values = np.frombuffer(raw, dtype="<f8", count=count * nstar, offset=offset)
-    return np.array(values, dtype=np.float64).reshape(count, nstar)
-
-
 def _require_finite_rows(rows: np.ndarray) -> np.ndarray:
+    # Names the first row (observation) with a NaN or Inf entry.
     finite = np.isfinite(rows)
     if not finite.all():
         k = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise FileFormatError(
-            f"observation {k} has a non-finite entry (NaN or Inf)"
-        )
+        raise FileFormatError(f"observation {k} has a non-finite entry (NaN or Inf)")
     return rows
+
+
+def _read_binary(raw: bytes, counted: bool) -> tuple[np.ndarray, Shape]:
+    # Either binary layout as a count x nstar block of finite entries; a
+    # single tensor has no count field and is one row.  The file length is
+    # checked against the header before anything is allocated, and the
+    # payload is copied once because the header leaves it misaligned for
+    # float64.
+    offset, count = len(MAGIC), 1
+    if counted:
+        (count,), offset = _unpack("<Q", raw, offset)
+    (order,), offset = _unpack("<B", raw, offset)
+    dims, offset = _unpack(f"<{order}I", raw, offset)
+    shape = _require_shape(dims)
+    nstar = shape.nstar
+    expected = offset + 8 * count * nstar
+    if len(raw) < expected:
+        raise FileFormatError(f"binary payload is truncated: {len(raw)} bytes, expected {expected}")
+    if len(raw) > expected:
+        raise FileFormatError(f"binary file has {len(raw) - expected} trailing bytes")
+    values = np.frombuffer(raw, dtype="<f8", count=count * nstar, offset=offset)
+    rows = np.array(values, dtype=np.float64).reshape(count, nstar)
+    return _require_finite_rows(rows), shape
 
 
 def write_tensor(path: str, t: AnyTensor, binary: bool = False) -> None:
     """Serialize one tensor; JSON by default, binary on request."""
     if binary:
-        _write_bytes(path, MAGIC + _binary_tensor(t))
+        data = np.ascontiguousarray(t.data, dtype="<f8")
+        _write_bytes(path, _binary_header(t.array.shape), data)
         return
     _write_bytes(path, (json.dumps(tensor_to_obj(t)) + "\n").encode("utf-8"))
 
@@ -222,10 +239,7 @@ def read_tensor(path: str) -> AnyTensor:
     """
     raw = _read_bytes(path)
     if raw.startswith(MAGIC):
-        shape, offset = _parse_binary_header(raw, len(MAGIC))
-        (values,) = _parse_binary_block(raw, offset, 1, shape)
-        if not np.isfinite(values).all():
-            raise FileFormatError("tensor entries must be finite (no NaN or Inf)")
+        (values,), shape = _read_binary(raw, counted=False)
         return DenseTensor._wrap(values.reshape(shape.dims, order="F"), shape)
     return tensor_from_obj(_parse_json(raw))
 
@@ -236,7 +250,7 @@ def write_sample_set(
     """Serialize a sample set; the JSON header records the seed when given."""
     rows = s.to_matrix()
     if binary:
-        header = MAGIC + struct.pack("<Q", len(s)) + _binary_dims(s.shape.dims)
+        header = _binary_header(s.shape.dims, len(s))
         _write_bytes(path, header, np.ascontiguousarray(rows, dtype="<f8"))
         return
     dims = list(s.shape.dims)
@@ -279,8 +293,9 @@ def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
     Matches the header against that layout, splits the observations on
     their exact separator, requires ``count`` of them with ``nstar - 1``
     commas each, and parses all the data with one ``json.loads`` of a flat
-    number list.  Returns None on any mismatch, so every other document,
-    valid or not, goes to the general reader and gets its result or error.
+    number list.  Returns None on any mismatch, a non-number entry
+    included, so every other document, valid or not, goes to the general
+    reader and gets its result or error.
     """
     try:
         text = raw.decode("utf-8")
@@ -301,14 +316,10 @@ def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
         chunks = body[len(start):-2].split("]}, " + start)
         if len(chunks) != count or any(c.count(",") != nstar - 1 for c in chunks):
             return None
-        flat = np.array(json.loads("[" + ", ".join(chunks) + "]"), dtype=np.float64)
-    except (ValueError, TypeError, OverflowError, RecursionError):
+        flat = _json_numbers(json.loads("[" + ", ".join(chunks) + "]"))
+        return flat.reshape(count, nstar), shape
+    except (ValueError, RecursionError):
         return None
-    # Nested data, or a value spanning two observations (it swallows the
-    # separator's comma), gives another shape.
-    if flat.shape != (count * nstar,):
-        return None
-    return flat.reshape(count, nstar), shape
 
 
 def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, Shape]:
@@ -317,17 +328,9 @@ def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, 
     # declared shape the first observation's shape is taken.
     rows = []
     for k, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise FileFormatError("tensor object must be a JSON object")
-        kind = item.get("kind", "tensor")
-        if kind == "square2d":
-            raise FileFormatError("sample observations must be plain tensors")
+        kind, item_shape, data = _tensor_fields(item)
         if kind != "tensor":
-            raise FileFormatError(f"unknown tensor kind {kind!r}")
-        data = item.get("data")
-        if not isinstance(data, list):
-            raise FileFormatError("tensor object must carry a 'data' array")
-        item_shape = _require_shape(item.get("shape"))
+            raise FileFormatError("sample observations must be plain tensors")
         if shape is None:
             shape = item_shape
         if item_shape != shape:
@@ -337,15 +340,8 @@ def _json_sample_rows(items: list, shape: Optional[Shape]) -> tuple[np.ndarray, 
                 f"observation {k} has {len(data)} entries, expected {shape.nstar}"
             )
         rows.append(data)
-    if not rows:
-        return np.empty((0, shape.nstar)), shape
-    try:
-        block = np.array(rows, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise FileFormatError(f"observation data must be numbers: {e}") from None
-    if block.ndim != 2:
-        raise FileFormatError("observation data must be flat lists of numbers")
-    return _require_finite_rows(block), shape
+    block = _json_numbers([v for data in rows for v in data])
+    return _require_finite_rows(block.reshape(len(rows), shape.nstar)), shape
 
 
 def read_sample_set(path: str) -> SampleSet:
@@ -356,10 +352,7 @@ def read_sample_set(path: str) -> SampleSet:
     """
     raw = _read_bytes(path)
     if raw.startswith(MAGIC):
-        (count,), offset = _unpack("<Q", raw, len(MAGIC))
-        shape, offset = _parse_binary_header(raw, offset)
-        rows = _require_finite_rows(_parse_binary_block(raw, offset, count, shape))
-        return SampleSet._wrap(rows, shape)
+        return SampleSet._wrap(*_read_binary(raw, counted=True))
     parsed = _template_sample_rows(raw)
     if parsed is not None:
         rows, shape = parsed

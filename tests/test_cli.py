@@ -69,6 +69,15 @@ class TestDet:
         code, _, _ = run(capsys, "det", str(tmp_path / "absent.json"))
         assert code == 2
 
+    def test_non_number_entries_exit_2(self, capsys, tmp_path):
+        # numpy would read "1.5" as 1.5 and true as 1.0; JSON says they are
+        # not numbers.
+        path = tmp_path / "x.json"
+        path.write_text('{"kind": "square2d", "rowShape": [2], "data": ["1.5", true, false, "2"]}')
+        code, out, err = run(capsys, "det", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: tensor data must be a flat list of numbers\n"
+
     def test_non_square_tensor_exits_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         write_tensor(str(path), DenseTensor([1.0, 2.0], (2,)))
@@ -486,6 +495,19 @@ class TestSample:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_memory_error_exits_2_without_a_file(self, capsys, tmp_path, monkeypatch,
+                                                 std_normal_params):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 291. TiB")
+
+        monkeypatch.setattr("tensorstat.cli.elliptical_sample", too_large)
+        out_path = tmp_path / "s.json"
+        code, out, err = run(
+            capsys, "sample", std_normal_params, str(out_path), "--count", "10000000000000"
+        )
+        assert (code, out, err) == (2, "", "error: Unable to allocate 291. TiB\n")
+        assert not out_path.exists()
+
     def test_header_records_seed(self, capsys, tmp_path, std_normal_params):
         out_path = tmp_path / "s.json"
         run(capsys, "sample", std_normal_params, str(out_path), "--count", "3", "--seed", "11")
@@ -696,9 +718,73 @@ class TestVerifyCommand:
         assert (code, out, err) == (2, "", message)
         assert not out_path.exists()
 
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 291. TiB")
+
+        monkeypatch.setattr("tensorstat.cli.run_verification", too_large)
+        code, out, err = run(capsys, "verify", "--shape", "2", "--n", "10000000000000")
+        assert (code, out, err) == (2, "", "error: Unable to allocate 291. TiB\n")
+
     def test_one_observation_exits_2_before_any_check(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "1")
         assert (code, out, err) == (2, "", "error: --n must be at least 2\n")
+
+
+class TestNonNumberData:
+    """A string, boolean or null data entry exits 2 on every JSON reading path."""
+
+    BAD = ['"1.5"', "true", "false", "null"]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        write_params(str(tmp_path / "params.json"), DenseTensor([0.5, -1.0], (2,)),
+                     unmatricize(np.diag([1.0, 2.0]), Shape((2,))))
+        write_params(str(tmp_path / "kron.json"), DenseTensor([0.5, -1.0], (2,)),
+                     KroneckerFactors((np.diag([1.0, 2.0]),)))
+        write_tensor(str(tmp_path / "point.json"), DenseTensor([0.25, 4.0], (2,)))
+        write_tensor(str(tmp_path / "square.json"),
+                     unmatricize(np.diag([1.0, 2.0]), Shape((2,))))
+        rows = np.array([[1.5, -2.0], [3.0, 4.25], [0.5, 6.0]])
+        write_sample_set(str(tmp_path / "samples.json"), SampleSet._wrap(rows, Shape((2,))))
+        doc = json.loads((tmp_path / "samples.json").read_text())
+        (tmp_path / "indented.json").write_text(json.dumps(doc, indent=1))
+        return tmp_path
+
+    CASES = {
+        # (file to spoil, the number in it to replace, argv)
+        "det": ("square.json", "2.0", ["det", "{d}/square.json"]),
+        "invert": ("square.json", "2.0", ["invert", "{d}/square.json", "{d}/out.json"]),
+        "matricize": ("square.json", "2.0", ["matricize", "{d}/square.json", "{d}/out.json"]),
+        "estimate-template": (
+            "samples.json", "4.25", ["estimate", "{d}/samples.json", "{d}/out.json", "--kind", "cov"]
+        ),
+        "estimate-general": (
+            "indented.json", "4.25",
+            ["estimate", "{d}/indented.json", "{d}/out.json", "--kind", "cov"],
+        ),
+        "density-location": (
+            "params.json", "-1.0", ["density", "{d}/params.json", "{d}/point.json"]
+        ),
+        "density-scale": ("params.json", "2.0", ["density", "{d}/params.json", "{d}/point.json"]),
+        "density-point": ("point.json", "4.0", ["density", "{d}/params.json", "{d}/point.json"]),
+        "sample-kronecker-factor": (
+            "kron.json", "2.0", ["sample", "{d}/kron.json", "{d}/out.json", "--count", "2"]
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_without_output(self, capsys, files, case, bad):
+        name, number, argv = self.CASES[case]
+        path = files / name
+        text = path.read_text()
+        assert number in text
+        path.write_text(text.replace(number, bad, 1))
+        code, out, err = run(capsys, *(a.format(d=files) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == "error: tensor data must be a flat list of numbers\n"
+        assert not (files / "out.json").exists()
 
 
 class TestStdinStdout:

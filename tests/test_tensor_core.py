@@ -1,5 +1,7 @@
 """Tests for shapes, dense/square tensors and the core operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -402,6 +404,18 @@ class TestSquareTensorConstruction:
         a[0, 0, 0, 0] = 5.0
         assert not np.shares_memory(x.array, a)
         assert x == SquareTensor.identity((2, 2))
+
+    def test_from_matrix_copies_a_c_order_matrix_once(self):
+        m = np.random.default_rng(17).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            x = SquareTensor.from_matrix(m, Shape((16, 32)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.nbytes
+        assert not np.shares_memory(x.array, m)
+        np.testing.assert_array_equal(matricize(x), m)
 
     def test_from_array_matches_from_matrix(self):
         rng = np.random.default_rng(16)

@@ -94,6 +94,27 @@ class TestJsonTensor:
             with pytest.raises(FileFormatError):
                 read_tensor(path)
 
+    @pytest.mark.parametrize("bad", ["1.5", True, False, None, [2.0], {"v": 2.0}])
+    def test_entries_must_be_json_numbers(self, tmp_path, bad):
+        # JSON strings and booleans are not numbers, although numpy would
+        # convert "1.5" and true; every tensor object refuses them.
+        tensor = {"kind": "tensor", "shape": [2], "data": [1.0, bad]}
+        square = {"kind": "square2d", "rowShape": [1], "data": [bad]}
+        scale = tensor_to_obj(SquareTensor.identity((2,)))
+        factor = {"kind": "tensor", "shape": [1, 1], "data": [bad]}
+        for obj in (tensor, square):
+            with pytest.raises(FileFormatError, match="flat list of numbers"):
+                tensor_from_obj(obj)
+        path = tmp_path / "p.json"
+        for doc in (
+            {"location": tensor, "scale": scale},
+            {"location": tensor_to_obj(DenseTensor([1.0], (1,))),
+             "scale": {"kind": "kronecker", "factors": [factor]}},
+        ):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(FileFormatError, match="flat list of numbers"):
+                read_params(str(path))
+
     def test_17_digit_round_trip(self, tmp_path):
         # shortest round-trip decimals keep awkward doubles bit-exact
         values = [1 / 3, np.pi, 1e-300, -2.2250738585072014e-308, 0.1 + 0.2]
@@ -322,7 +343,8 @@ class TestJsonSampleErrors:
 
     @pytest.mark.parametrize(
         "data",
-        [[1.0], [1.0, 2.0, 3.0], [1.0, "x"], [1.0, [2.0]], [1.0, None], [1.0, 10**400]],
+        [[1.0], [1.0, 2.0, 3.0], [1.0, "x"], [1.0, [2.0]], [1.0, None], [1.0, 10**400],
+         [1.0, "1.5"], [1.0, True], [False, 2.0]],
     )
     def test_bad_observation_data(self, tmp_path, data):
         doc = self.samples_doc([[1.0, 2.0]])
@@ -482,6 +504,16 @@ class TestJsonSampleTemplate:
         path = tmp_path / "s.json"
         path.write_text(self.CANONICAL.replace(old, new, 1))
         assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+
+    @pytest.mark.parametrize("bad", ['"1.5"', "true", "false", "null"])
+    def test_non_number_entry_is_refused_on_both_paths(self, tmp_path, bad):
+        # The template hands a non-number to the general parse, which names it.
+        path = tmp_path / "s.json"
+        path.write_text(self.CANONICAL.replace("4.25", bad, 1))
+        assert tensorfile._template_sample_rows(path.read_bytes()) is None
+        outcome = read_outcome(str(path))
+        assert outcome == (FileFormatError, "tensor data must be a flat list of numbers")
+        assert outcome == read_outcome(str(path), general_only=True)
 
     def test_nested_one_cell_data_matches_the_general_parse(self, tmp_path):
         # Every observation's data wrapped once more still has count x 1
