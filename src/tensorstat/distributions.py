@@ -402,8 +402,13 @@ def _log_densities(p: EllipticalParams, kernel: RadialKernel, rows: np.ndarray) 
     # location and scale.  Each row's deviation is whitened by solves
     # against the factors (never an explicit inverse), then q is one
     # contiguous dot per row: the same bits as ``z @ z`` of that row alone.
-    z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
-    return _log_normalizer(p, kernel) + kernel.log_g(np.vecdot(z, z), p.nstar)
+    # A NaN q from finite entries means the deviation overflowed: q is then
+    # +inf, where both kernels' log g is -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
+        q = np.vecdot(z, z)
+    q[np.isnan(q) & np.isfinite(rows).all(axis=1)] = np.inf
+    return _log_normalizer(p, kernel) + kernel.log_g(q, p.nstar)
 
 
 def _density_from_log(log_density: float) -> float:

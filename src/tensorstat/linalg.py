@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, ShapeError, SingularTensorError, SymmetryError
-from .tensor_core import Shape, SquareTensor, _require_finite, matricize, transpose2d, unmatricize
+from .tensor_core import Shape, SquareTensor, _require_finite, matricize, unmatricize
 
 __all__ = [
     "RCOND_LIMIT",
@@ -132,16 +132,23 @@ def _not_positive_definite(m: np.ndarray) -> DefinitenessError:
     )
 
 
+def _cholesky_or_none(m: np.ndarray):
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def cholesky_lower(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Raises :class:`DefinitenessError` naming the first non-positive pivot
     when the matrix is not positive definite.
     """
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(m) from None
+    lower = _cholesky_or_none(m)
+    if lower is None:
+        raise _not_positive_definite(m)
+    return lower
 
 
 def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
@@ -162,17 +169,10 @@ def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
     return CholeskyFactor(row_shape=s.row_shape, lower=cholesky_lower(sym))
 
 
-def _cholesky_or_none(m: np.ndarray):
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def is_symmetric(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
     """Whether ``x`` equals its block transpose within an absolute ``tol``."""
-    diff = matricize(x) - matricize(transpose2d(x))
-    return float(np.abs(diff).max()) <= tol
+    m = matricize(x)
+    return float(np.abs(m - m.T).max()) <= tol
 
 
 def is_positive_definite(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:

@@ -73,7 +73,7 @@ class SampleSet:
     their own minimum observation counts.
     """
 
-    __slots__ = ("shape", "_rows")
+    __slots__ = ("_shape", "_rows")
 
     def __init__(self, shape: ShapeLike, observations: Iterable[DenseTensor]):
         shape = as_shape(shape)
@@ -88,7 +88,7 @@ class SampleSet:
                 )
             rows[k] = t.data
         rows.flags.writeable = False
-        self.shape = shape
+        self._shape = shape
         self._rows = rows
 
     @classmethod
@@ -108,9 +108,14 @@ class SampleSet:
         a = np.ascontiguousarray(rows, dtype=np.float64)
         a.flags.writeable = False
         s = object.__new__(cls)
-        s.shape = shape
+        s._shape = shape
         s._rows = a
         return s
+
+    @property
+    def shape(self) -> Shape:
+        """Shape shared by every observation (read-only)."""
+        return self._shape
 
     @property
     def observations(self) -> tuple[DenseTensor, ...]:
@@ -131,7 +136,7 @@ class SampleSet:
 
     def __getitem__(self, k: int) -> DenseTensor:
         row = self._rows[operator.index(k)]
-        return DenseTensor._wrap(row.reshape(self.shape.dims, order="F"), self.shape)
+        return DenseTensor._wrap(row.reshape(self._shape.dims, order="F"), self._shape)
 
     def __eq__(self, other) -> bool:
         if type(other) is not SampleSet:

@@ -111,25 +111,26 @@ def _require_finite(values: np.ndarray) -> None:
 class _Tensor:
     """Storage and arithmetic shared by :class:`DenseTensor` and :class:`SquareTensor`.
 
-    A subclass names the attribute holding its :class:`Shape` in
-    ``_shape_attr`` and how error messages call it in ``_shape_label``.
+    The :class:`Shape` lives in ``_shape``, behind a read-only property of
+    each subclass; ``_shape_label`` is how error messages call it.
     Arithmetic and equality take two tensors of the same kind only; mixing
     kinds returns ``NotImplemented``.
     """
 
-    __slots__ = ("_array",)
-    _shape_attr = "shape"
+    __slots__ = ("_array", "_shape")
     _shape_label = "shape"
 
     @classmethod
     def _wrap(cls, array: np.ndarray, shape: Shape):
-        # Internal: adopt a float64 array without copying or validating.
-        a = np.asfortranarray(array, dtype=np.float64)
-        a.flags.writeable = False
+        # Internal, unvalidated: the one place an array is made F-order float64.
         t = object.__new__(cls)
-        setattr(t, cls._shape_attr, shape)
-        t._array = a
+        t._adopt(np.asfortranarray(array, dtype=np.float64), shape)
         return t
+
+    def _adopt(self, array: np.ndarray, shape: Shape) -> None:
+        array.flags.writeable = False
+        self._array = array
+        self._shape = shape
 
     def _adopt_flat(self, data, shape: Shape, dims: tuple[int, ...], hint: str) -> None:
         # Constructor body: copy flat column-major data, validate, adopt.
@@ -145,13 +146,7 @@ class _Tensor:
                 f"(expected {expected} entries)"
             )
         _require_finite(flat)
-        array = flat.reshape(dims, order="F")
-        array.flags.writeable = False
-        setattr(self, self._shape_attr, shape)
-        self._array = array
-
-    def _shape(self) -> Shape:
-        return getattr(self, self._shape_attr)
+        self._adopt(flat.reshape(dims, order="F"), shape)
 
     @property
     def array(self) -> np.ndarray:
@@ -169,19 +164,19 @@ class _Tensor:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._shape() == other._shape() and np.array_equal(self._array, other._array)
+        return self._shape == other._shape and np.array_equal(self._array, other._array)
 
     __hash__ = None
 
     def _combine(self, other, op, verb: str):
         if type(other) is not type(self):
             return NotImplemented
-        if other._shape() != self._shape():
+        if other._shape != self._shape:
             raise ShapeError(
-                f"cannot {verb} tensors of {self._shape_label}s {self._shape()} "
-                f"and {other._shape()}"
+                f"cannot {verb} tensors of {self._shape_label}s {self._shape} "
+                f"and {other._shape}"
             )
-        return self._wrap(op(self._array, other._array), self._shape())
+        return self._wrap(op(self._array, other._array), self._shape)
 
     def __add__(self, other):
         return self._combine(other, np.add, "add")
@@ -190,12 +185,12 @@ class _Tensor:
         return self._combine(other, np.subtract, "subtract")
 
     def __mul__(self, factor: float):
-        return self._wrap(float(factor) * self._array, self._shape())
+        return self._wrap(float(factor) * self._array, self._shape)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._wrap(-self._array, self._shape())
+        return self._wrap(-self._array, self._shape)
 
 
 class DenseTensor(_Tensor):
@@ -213,7 +208,7 @@ class DenseTensor(_Tensor):
         Dimension lengths.
     """
 
-    __slots__ = ("shape",)
+    __slots__ = ()
 
     def __init__(self, data, shape: ShapeLike):
         shape = as_shape(shape)
@@ -222,16 +217,22 @@ class DenseTensor(_Tensor):
     @classmethod
     def from_array(cls, array) -> "DenseTensor":
         """Build from a multi-dimensional array, taking its shape."""
-        a = np.asarray(array, dtype=np.float64)
+        a = np.array(array, dtype=np.float64, order="F", copy=True)
         if a.ndim == 0:
             raise ShapeError("order-0 (scalar) tensors are not supported")
-        return cls(a.ravel(order="F"), Shape(a.shape))
+        _require_finite(a)
+        return cls._wrap(a, Shape(a.shape))
 
     @classmethod
     def zeros(cls, shape: ShapeLike) -> "DenseTensor":
         """All-zero tensor of the given shape."""
         shape = as_shape(shape)
         return cls._wrap(np.zeros(shape.dims, order="F"), shape)
+
+    @property
+    def shape(self) -> Shape:
+        """Dimension lengths (read-only)."""
+        return self._shape
 
     @property
     def order(self) -> int:
@@ -256,8 +257,7 @@ class SquareTensor(_Tensor):
         Dimension lengths shared by both index blocks.
     """
 
-    __slots__ = ("row_shape",)
-    _shape_attr = "row_shape"
+    __slots__ = ()
     _shape_label = "row shape"
 
     def __init__(self, data, row_shape: ShapeLike):
@@ -293,9 +293,8 @@ class SquareTensor(_Tensor):
             raise ShapeError(
                 f"index blocks must share dimension lengths, got {a.shape}"
             )
-        row_shape = Shape(a.shape[:half])
         _require_finite(a)
-        return cls._wrap(a, row_shape)
+        return cls._wrap(a, Shape(a.shape[:half]))
 
     @classmethod
     def identity(cls, row_shape: ShapeLike) -> "SquareTensor":
@@ -308,6 +307,11 @@ class SquareTensor(_Tensor):
         """All-zero square tensor."""
         row_shape = as_shape(row_shape)
         return cls._wrap(np.zeros(row_shape.dims * 2, order="F"), row_shape)
+
+    @property
+    def row_shape(self) -> Shape:
+        """Dimension lengths shared by both index blocks (read-only)."""
+        return self._shape
 
     @property
     def order(self) -> int:
@@ -354,9 +358,7 @@ def transpose2d(x: SquareTensor) -> SquareTensor:
     """
     d = x.row_shape.order
     perm = tuple(range(d, 2 * d)) + tuple(range(d))
-    return SquareTensor._wrap(
-        np.asfortranarray(np.transpose(x._array, perm)), x.row_shape
-    )
+    return SquareTensor._wrap(np.transpose(x._array, perm), x.row_shape)
 
 
 def add(x, y):
@@ -382,10 +384,8 @@ def outer(a: DenseTensor, b: DenseTensor) -> Union[SquareTensor, DenseTensor]:
     """
     prod = np.multiply.outer(a.array, b.array)
     if a.shape == b.shape:
-        return SquareTensor._wrap(np.asfortranarray(prod), a.shape)
-    return DenseTensor._wrap(
-        np.asfortranarray(prod), Shape(a.shape.dims + b.shape.dims)
-    )
+        return SquareTensor._wrap(prod, a.shape)
+    return DenseTensor._wrap(prod, Shape(a.shape.dims + b.shape.dims))
 
 
 def contract_product(x: SquareTensor, y: SquareTensor) -> SquareTensor:
@@ -403,7 +403,7 @@ def contract_product(x: SquareTensor, y: SquareTensor) -> SquareTensor:
         )
     d = x.row_shape.order
     res = np.tensordot(x.array, y.array, axes=(tuple(range(d, 2 * d)), tuple(range(d))))
-    return SquareTensor._wrap(np.asfortranarray(res), x.row_shape)
+    return SquareTensor._wrap(res, x.row_shape)
 
 
 def double_dot_quadratic(a: DenseTensor, s: SquareTensor, b: DenseTensor) -> float:

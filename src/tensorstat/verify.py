@@ -115,7 +115,7 @@ class VerifyReport:
 
 
 def _random_dense(rng: np.random.Generator, shape: Shape) -> DenseTensor:
-    return DenseTensor._wrap(np.asfortranarray(rng.standard_normal(shape.dims)), shape)
+    return DenseTensor._wrap(rng.standard_normal(shape.dims), shape)
 
 
 def _random_square(rng: np.random.Generator, shape: Shape) -> SquareTensor:
@@ -153,9 +153,7 @@ def _random_sample_set(rng: np.random.Generator, shape: Shape, n: int) -> Sample
 
 def _random_near(rng: np.random.Generator, loc: DenseTensor) -> DenseTensor:
     # A point one standard normal draw per cell away from ``loc``.
-    return DenseTensor._wrap(
-        np.asfortranarray(loc.array + rng.standard_normal(loc.shape.dims)), loc.shape
-    )
+    return DenseTensor._wrap(loc.array + rng.standard_normal(loc.shape.dims), loc.shape)
 
 
 def _unit_scale_spd(shape: Shape, coupling: float = 0.3) -> SquareTensor:

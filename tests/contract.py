@@ -1,0 +1,233 @@
+"""Byte-contract ledger of the tensorstat command line.
+
+Runs a fixed matrix of CLI calls in process through ``tensorstat.cli.main``
+and keeps one ledger line per call: its argv (the work directory written as
+``{work}``), its exit code and the sha256 of its stdout, of its stderr and
+of each file it writes.  The ledger opens with the environment (Python,
+numpy, BLAS), because digests that involve a rounded sum depend on the BLAS
+kernel.  Run it from the repository root:
+
+    PYTHONPATH=src python tests/contract.py --record DIR
+    PYTHONPATH=src python tests/contract.py --compare DIR
+
+``--record`` writes ``DIR/ledger.jsonl``.  ``--compare`` runs the matrix
+again and prints one line: the calls run, the calls identical and the names
+of any that differ; it exits 1 if any differ.  Compare a change with a
+ledger recorded on the same host, by running ``--record`` on a checkout of
+the parent commit first.  The name keeps pytest from collecting the file.
+
+The inputs come from ``perfbench.workloads.make_inputs`` (seed 901) at 2x2,
+16x16x4 and 16x16x16, plus hand-written far-point params whose deviation
+overflows float64.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import make_inputs  # noqa: E402
+from tensorstat.cli import main  # noqa: E402
+
+LEDGER = "ledger.jsonl"
+INPUT_SEED = 901
+FAMILIES = ("normal", "student:5", "student:0.5", "student:1e-300")
+# (dims, sample count, whether to estimate): 16x16x4's count keeps its
+# covariance invertible; a 16x16x16 covariance would take 134 MB a file.
+SHAPES = (((2, 2), 500, True), ((16, 16, 4), 1100, True), ((16, 16, 16), 10, False))
+VERIFY_RUNS = (
+    ("2x2", "--n", "100000", "--seed", "1729"),
+    ("2x3x2", "--n", "100000", "--seed", "1729"),
+    ("3", "--n", "5000", "--seed", "3"),
+    ("4x3", "--n", "3000", "--seed", "5"),
+    ("3x2x2", "--n", "20000"),
+)
+FAR = 1.7e308
+COUPLED = [1.0, 0.5, 0.5, 1.0]
+
+
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # older numpy has no dict mode
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def _tensor(data, dims, kind="tensor"):
+    key = "rowShape" if kind == "square2d" else "shape"
+    return {"kind": kind, key: list(dims), "data": [float(v) for v in data]}
+
+
+def _far_inputs(work: Path) -> None:
+    # Deviations whose squares overflow float64, though every entry is finite.
+    docs = {
+        "far-dense-params.json": {
+            "location": _tensor([-FAR, 0.0], [2]),
+            "scale": _tensor(COUPLED, [2], "square2d"),
+        },
+        "far-dense-point.json": _tensor([FAR, FAR], [2]),
+        "far-kron-params.json": {
+            "location": _tensor([-FAR, 0.0, 0.0, 0.0], [2, 2]),
+            "scale": {
+                "kind": "kronecker",
+                "factors": [_tensor(COUPLED, [2, 2]), _tensor(COUPLED, [2, 2])],
+            },
+        },
+        "far-kron-point.json": _tensor([FAR, FAR, FAR, FAR], [2, 2]),
+        "far-unit-params.json": {
+            "location": _tensor([0.0, 0.0], [2]),
+            "scale": _tensor([1.0, 0.0, 0.0, 1.0], [2], "square2d"),
+        },
+        "far-unit-point.json": _tensor([1e200, 0.0], [2]),
+    }
+    for name, doc in docs.items():
+        (work / name).write_text(json.dumps(doc) + "\n")
+
+
+def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(name, argv, output files) of every call, in the order they run.
+
+    Writes the calls' input files under ``work``.
+    """
+    calls = []
+
+    def add(name, argv, outputs=()):
+        calls.append((name, list(argv), list(outputs)))
+
+    for dims, count, estimate in SHAPES:
+        tag = "x".join(map(str, dims))
+        d = work / tag
+        make_inputs(dims, INPUT_SEED, d)
+        params, point = str(d / "params.json"), str(d / "point.json")
+        for family in FAMILIES:
+            add(f"density-{tag}-{family}", ["density", params, point, "--family", family])
+            add(
+                f"density-log-{tag}-{family}",
+                ["density", params, point, "--family", family, "--log"],
+            )
+        for family in ("normal", "student:5"):
+            for ext in ("json", "bin"):
+                out = str(d / f"samples-{family}.{ext}")
+                add(
+                    f"sample-{tag}-{family}-{ext}",
+                    ["sample", params, out, "--count", str(count), "--seed", "17",
+                     "--family", family],
+                    [out],
+                )
+        if not estimate:
+            continue
+        for ext in ("json", "bin"):
+            samples = str(d / f"samples-normal.{ext}")
+            for kind in ("cov", "corr", "crosscov"):
+                out = str(d / f"{kind}.{ext}")
+                add(f"estimate-{tag}-{kind}-{ext}", ["estimate", samples, out, "--kind", kind],
+                    [out])
+            cov = str(d / f"cov.{ext}")
+            add(f"det-{tag}-{ext}", ["det", cov])
+            add(f"det-log-{tag}-{ext}", ["det", cov, "--log"])
+            for cmd in ("invert", "matricize"):
+                out = str(d / f"{cmd}.{ext}")
+                add(f"{cmd}-{tag}-{ext}", [cmd, cov, out], [out])
+
+    for spec, *rest in VERIFY_RUNS:
+        add(f"verify-{spec}-" + "-".join(rest[1::2]), ["verify", "--shape", spec, *rest])
+
+    _far_inputs(work)
+    for case, families in (
+        ("dense", ("normal", "student:3", "student:5")),
+        ("kron", ("normal", "student:5")),
+        ("unit", ("normal", "student:5")),
+    ):
+        params, point = str(work / f"far-{case}-params.json"), str(work / f"far-{case}-point.json")
+        for family in families:
+            add(f"far-{case}-{family}", ["density", params, point, "--family", family])
+            add(f"far-log-{case}-{family}", ["density", params, point, "--family", family, "--log"])
+    return calls
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_call(name: str, argv: list[str], outputs: list[str], work: str) -> dict:
+    """One ledger line; the work directory reads ``{work}`` in argv and text."""
+    out, err = io.StringIO(), io.StringIO()
+    # A fresh warnings registry per call, so each warning shows as it would
+    # in its own process.
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        code = main(argv)
+    return {
+        "name": name,
+        "argv": [a.replace(work, "{work}") for a in argv],
+        "exit": code,
+        "stdout": _sha(out.getvalue().replace(work, "{work}").encode()),
+        "stderr": _sha(err.getvalue().replace(work, "{work}").encode()),
+        "files": [_sha(Path(p).read_bytes()) if os.path.exists(p) else "absent" for p in outputs],
+    }
+
+
+def ledger() -> list[dict]:
+    os.environ.pop("TENSORSTAT_SEED", None)
+    lines = [{"environment": environment()}]
+    with tempfile.TemporaryDirectory() as tmp:
+        lines += [run_call(*call, tmp) for call in matrix(Path(tmp))]
+    return lines
+
+
+def compare(old: list[dict], new: list[dict]) -> tuple[int, int, list[str]]:
+    """(calls run, calls identical, names that differ or are missing)."""
+    if old[0] != new[0]:
+        print(f"note: environments differ: {old[0]} vs {new[0]}", file=sys.stderr)
+    before = {line["name"]: line for line in old[1:]}
+    after = {line["name"]: line for line in new[1:]}
+    differ = [name for name, line in after.items() if before.get(name) != line]
+    missing = [name for name in before if name not in after]
+    return len(after), len(after) - len(differ), differ + missing
+
+
+def main_contract(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--record", metavar="DIR", help="write DIR/ledger.jsonl")
+    group.add_argument("--compare", metavar="DIR", help="compare with DIR/ledger.jsonl")
+    args = parser.parse_args(argv)
+    if args.record:
+        lines = ledger()
+        Path(args.record).mkdir(parents=True, exist_ok=True)
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        (Path(args.record) / LEDGER).write_text(text)
+        print(f"recorded {len(lines) - 1} calls in {Path(args.record) / LEDGER}")
+        return 0
+    old = [json.loads(s) for s in (Path(args.compare) / LEDGER).read_text().splitlines()]
+    run, identical, differ = compare(old, ledger())
+    print(
+        f"{run} calls run, {identical} identical"
+        + (f"; differ: {', '.join(differ)}" if differ else "")
+    )
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_contract())

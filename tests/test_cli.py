@@ -418,6 +418,25 @@ class TestDensity:
         assert (code, err) == (0, "")
         assert 709.8 < float(out) < math.inf
 
+    @pytest.mark.parametrize("family", ["normal", "student:5"])
+    @pytest.mark.parametrize(
+        "location, scale, point",
+        [
+            ([-1.7e308, 0.0], [[1.0, 0.5], [0.5, 1.0]], [1.7e308, 1.7e308]),
+            ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1e200, 0.0]),
+        ],
+        ids=["subtract-overflows", "square-overflows"],
+    )
+    def test_far_point_prints_minus_inf(self, capsys, tmp_path, family, location, scale, point):
+        # Finite entries whose deviation or squared distance overflows
+        # float64: the log-density is -inf, the density 0, with no warning.
+        params, pt = tmp_path / "p.json", tmp_path / "pt.json"
+        write_params(str(params), DenseTensor(location, (2,)), unmatricize(scale, Shape((2,))))
+        write_tensor(str(pt), DenseTensor(point, (2,)))
+        args = ("density", str(params), str(pt), "--family", family)
+        assert run(capsys, *args, "--log") == (0, "-inf\n", "")
+        assert run(capsys, *args) == (0, "0\n", "")
+
     def test_student_family(self, capsys, tmp_path, std_normal_params):
         point = tmp_path / "pt.json"
         write_tensor(str(point), DenseTensor.zeros((1,)))
@@ -785,6 +804,62 @@ class TestNonNumberData:
         assert (code, out) == (2, "")
         assert err == "error: tensor data must be a flat list of numbers\n"
         assert not (files / "out.json").exists()
+
+
+class TestInputErrors:
+    """Input errors on paths no other test runs: exit 2, one message, no file."""
+
+    @staticmethod
+    def seed_not_an_integer(d, monkeypatch):
+        monkeypatch.setenv("TENSORSTAT_SEED", "abc")
+        return (["sample", f"{d}/params.json", f"{d}/out.json", "--count", "2"],
+                "TENSORSTAT_SEED must be an integer, got 'abc'")
+
+    @staticmethod
+    def negative_count(d, monkeypatch):
+        return (["sample", f"{d}/params.json", f"{d}/out.json", "--count", "-1"],
+                "--count must be non-negative")
+
+    @staticmethod
+    def empty_directory(d, monkeypatch):
+        (d / "samples").mkdir()
+        return (["estimate", f"{d}/samples", f"{d}/out.json", "--kind", "cov"],
+                f"sample directory {str(d / 'samples')!r} is empty")
+
+    @staticmethod
+    def square_file_in_directory(d, monkeypatch):
+        (d / "samples").mkdir()
+        write_tensor(str(d / "samples" / "a.json"), SquareTensor.identity((2,)))
+        return (["estimate", f"{d}/samples", f"{d}/out.json", "--kind", "cov"],
+                "sample file 'a.json' is not a plain tensor")
+
+    @staticmethod
+    def square_location(d, monkeypatch):
+        eye = tensor_to_obj(SquareTensor.identity((1,)))
+        write_json(d / "params.json", {"location": eye, "scale": eye})
+        return (["sample", f"{d}/params.json", f"{d}/out.json", "--count", "2"],
+                "params location must be a plain tensor")
+
+    @staticmethod
+    def order_3_kronecker_factor(d, monkeypatch):
+        factor = tensor_to_obj(DenseTensor.zeros((1, 1, 1)))
+        write_json(d / "params.json", {
+            "location": tensor_to_obj(DenseTensor.zeros((1,))),
+            "scale": {"kind": "kronecker", "factors": [factor]},
+        })
+        return (["sample", f"{d}/params.json", f"{d}/out.json", "--count", "2"],
+                "kronecker factors must be order-2 tensors")
+
+    @pytest.mark.parametrize("case", [
+        "seed_not_an_integer", "negative_count", "empty_directory",
+        "square_file_in_directory", "square_location", "order_3_kronecker_factor",
+    ])
+    def test_exits_2_with_its_message(self, capsys, tmp_path, monkeypatch, case):
+        write_params(str(tmp_path / "params.json"), DenseTensor.zeros((2,)),
+                     SquareTensor.identity((2,)))
+        argv, message = getattr(self, case)(tmp_path, monkeypatch)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestStdinStdout:

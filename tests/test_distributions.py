@@ -737,6 +737,23 @@ class TestStructuredKronecker:
         single = [elliptical_log_density(p, x) for x in points]
         np.testing.assert_array_equal(elliptical_log_density_batch(p, pts), single)
 
+    @pytest.mark.parametrize(
+        "kernel", [NormalKernel(), StudentKernel(nu=5.0)], ids=["normal", "student:5"]
+    )
+    def test_far_row_is_minus_inf_beside_a_near_row(self, kernel):
+        # The far row's deviation overflows float64 though every entry is
+        # finite; its log-density is -inf with no warning, and the near row
+        # keeps its one-row bits.  A row holding a NaN stays NaN.
+        coupled = np.array([[1.0, 0.5], [0.5, 1.0]])
+        loc = DenseTensor([-1.7e308, 0.0, 0.0, 0.0], (2, 2))
+        p = EllipticalParams(loc, KroneckerFactors((coupled, coupled)), kernel)
+        near = np.array([0.25, -1.0, 0.5, 2.0])
+        rows = np.array([[1.7e308] * 4, near, [math.nan, 0.0, 0.0, 0.0]])
+        batch = elliptical_log_density_batch(p, rows)
+        assert batch[0] == -math.inf
+        assert batch[1] == elliptical_log_density(p, DenseTensor(near, (2, 2)))
+        assert math.isnan(batch[2])
+
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (4, 4, 4)], ids=["2", "2x2", "4x4x4"])
     def test_dense_rows_do_not_depend_on_their_block(self, dims):
         # LAPACK solves a lone right-hand side with trsv and several with

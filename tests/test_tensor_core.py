@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorstat.errors import ShapeError
+from tensorstat.stats import SampleSet
 from tensorstat.tensor_core import (
     DenseTensor,
     Shape,
@@ -117,6 +118,39 @@ class TestDenseTensor:
         t = DenseTensor.from_array(a)
         assert t.shape == Shape((2, 3, 2))
         np.testing.assert_array_equal(t.array, a)
+
+    def test_shapes_are_read_only(self):
+        # A writable shape could disagree with the entries it describes.
+        t = DenseTensor.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            t.shape = Shape((4,))
+        x = SquareTensor.zeros((2,))
+        with pytest.raises(AttributeError):
+            x.row_shape = Shape((4,))
+        s = SampleSet(Shape((2,)), [DenseTensor.zeros((2,))] * 2)
+        with pytest.raises(AttributeError):
+            s.shape = Shape((1,))
+        assert (t.shape, x.row_shape, s.shape) == (Shape((2, 2)), Shape((2,)), Shape((2,)))
+
+    def test_from_array_copies_a_c_order_array_once(self):
+        a = np.random.default_rng(18).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            t = DenseTensor.from_array(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes
+        assert not np.shares_memory(t.array, a)
+        np.testing.assert_array_equal(t.array, a)
+
+    def test_from_array_errors_keep_their_order(self):
+        with pytest.raises(ShapeError, match="order-0"):
+            DenseTensor.from_array(np.float64(np.nan))
+        with pytest.raises(ShapeError, match=">= 1"):
+            DenseTensor.from_array(np.full((2, 0), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor.from_array([[1.0, np.inf]])
 
     def test_arithmetic_dunder(self):
         x = DenseTensor([1.0, 2.0], (2,))

@@ -12,6 +12,7 @@ from tensorstat.distributions import (
     TensorNormalParams,
     normal_log_density_batch,
 )
+from tensorstat.stats import SampleSet
 from tensorstat.tensor_core import DenseTensor, Shape, unmatricize, vec
 
 
@@ -147,6 +148,28 @@ def test_corrupt_marks_only_the_named_check(name):
     assert result.deviation == result.tolerance + max(1.0, result.tolerance)
     clean = verify.run_verification(Shape((2,)), n=2000, seed=1729)
     assert set(report.failed_names) - set(clean.failed_names) == {name}
+
+
+def test_perturbed_sampler_fails_sampling_determinism(monkeypatch):
+    # Every second draw is off by one part in 1e12: the repeated draws of
+    # one seed then differ, and the tolerance-0 check must see it.
+    calls = []
+
+    def every_second(draw):
+        def perturbed(p, seed, count):
+            calls.append(None)
+            s = draw(p, seed, count)
+            if len(calls) % 2:
+                return s
+            return SampleSet._wrap(s.to_matrix() * (1 + 1e-12), s.shape)
+        return perturbed
+
+    for name in ("normal_sample", "elliptical_sample"):
+        monkeypatch.setattr(verify, name, every_second(getattr(verify, name)))
+    report = verify.run_verification(Shape((2,)), n=2000, seed=1729)
+    result = next(r for r in report.results if r.name == "sampling-determinism")
+    assert not result.passed
+    assert result.deviation > 0.0
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 2), (3, 2, 2)])
