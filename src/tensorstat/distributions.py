@@ -34,21 +34,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import DefinitenessError, ShapeError, UnsupportedKernelError
 from .linalg import (
+    SYMMETRY_TOL,
     CholeskyFactor,
     KroneckerFactors,
-    cholesky,
+    _kron,
     kronecker_assemble,
     kronecker_cholesky,
+    symmetric_part,
 )
 from .stats import SampleSet, covariance, mean_tensor
-from .tensor_core import DenseTensor, Shape, SquareTensor, matricize, unmatricize, vec
+from .tensor_core import (
+    DenseTensor, Shape, SquareTensor, _require_finite, matricize, unmatricize, vec
+)
 
 __all__ = [
     "ScaleSpec",
@@ -243,13 +247,14 @@ def kernel_from_spec(spec: str) -> RadialKernel:
     raise UnsupportedKernelError(f"unknown kernel {spec!r}")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class EllipticalParams:
     """Location, scale and radial kernel of a tensor elliptical law.
 
-    The scale is factored here into lower factors ``L_k`` whose Kronecker
-    product is the Cholesky factor of the matricization: one from
-    :func:`~tensorstat.linalg.cholesky` for a dense scale, one per mode from
-    :func:`~tensorstat.linalg.kronecker_cholesky` for a Kronecker scale.
+    The scale is factored here by :func:`~tensorstat.linalg.kronecker_cholesky`
+    into lower factors ``L_k`` whose Kronecker product is the Cholesky factor
+    of the matricization: one per stored factor of a Kronecker scale, and
+    one for a dense scale, the one-factor case of its symmetric matricization.
     The log-determinant is ``sum_k (nstar / n_k) 2 sum log diag L_k``, and
     draws and quadratic forms apply the factors one mode at a time to
     ``(N, nstar)`` row blocks of vectorized tensors (:meth:`_along_modes`),
@@ -258,44 +263,44 @@ class EllipticalParams:
     :attr:`scale_tensor`, :attr:`chol`: the vec-space oracle) are built on
     first use and cached.  The :attr:`log_normalizer` already includes the
     determinant factor of the scale, so the kernel's ``log_g`` sees only
-    the quadratic form.  Instances are immutable after construction.
+    the quadratic form.  Instances are frozen: no attribute, cached or
+    not, can be assigned after construction.
     """
 
-    __slots__ = (
-        "location", "scale", "kernel", "log_det",
-        "_lowers", "_scale_matrix", "_chol",
-    )
+    location: DenseTensor
+    scale: ScaleSpec
+    kernel: RadialKernel
+    log_det: float = field(init=False)
+    _lowers: tuple[np.ndarray, ...] = field(init=False)
 
-    def __init__(self, location: DenseTensor, scale: ScaleSpec, kernel: RadialKernel):
-        if isinstance(scale, KroneckerFactors):
-            if scale.shape != location.shape:
-                raise ShapeError(
-                    f"factor sizes {scale.shape} do not match location shape {location.shape}"
-                )
-            self._lowers = kronecker_cholesky(scale)
-        elif isinstance(scale, SquareTensor):
-            if scale.row_shape != location.shape:
-                raise ShapeError(
-                    f"scale row shape {scale.row_shape} does not match location shape "
-                    f"{location.shape}"
-                )
-            self._lowers = (cholesky(scale).lower,)
+    def __post_init__(self) -> None:
+        if not isinstance(self.location, DenseTensor):
+            raise TypeError(f"location must be a DenseTensor, got {type(self.location).__name__}")
+        if not isinstance(self.kernel, RadialKernel):
+            raise TypeError(f"kernel must be a RadialKernel, got {type(self.kernel).__name__}")
+        if isinstance(self.scale, KroneckerFactors):
+            shape = self.scale.shape
+        elif isinstance(self.scale, SquareTensor):
+            shape = self.scale.row_shape
         else:
             raise TypeError(
-                f"scale must be a SquareTensor or KroneckerFactors, got {type(scale).__name__}"
+                f"scale must be a SquareTensor or KroneckerFactors, got {type(self.scale).__name__}"
             )
-        for low in self._lowers:
+        if shape != self.shape:
+            raise ShapeError(f"scale shape {shape} does not match location shape {self.shape}")
+        # A dense scale is the one-factor case: its symmetric matricization.
+        if isinstance(self.scale, KroneckerFactors):
+            factors = self.scale.factors
+        else:
+            factors = (symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization"),)
+        lowers = kronecker_cholesky(factors)
+        for low in lowers:
             low.flags.writeable = False
-        self.location = location
-        self.scale = scale
-        self.kernel = kernel
-        self._scale_matrix = None
-        self._chol = None
-        nstar = location.shape.nstar
-        self.log_det = sum(
-            (nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
-            for low in self._lowers
-        )
+        object.__setattr__(self, "_lowers", lowers)
+        object.__setattr__(self, "log_det", sum(
+            (self.nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
+            for low in lowers
+        ))
 
     @property
     def shape(self) -> Shape:
@@ -310,29 +315,22 @@ class EllipticalParams:
         """Log of the density's constant factor, determinant included."""
         return _log_normalizer(self, self.kernel)
 
-    @property
+    @functools.cached_property
     def scale_matrix(self) -> np.ndarray:
-        """Effective (symmetrized) matricization of the scale, built on first use."""
-        if self._scale_matrix is None:
-            if isinstance(self.scale, KroneckerFactors):
-                eff = kronecker_assemble(self.scale)
-            else:
-                eff = matricize(self.scale)
-            sym = eff + eff.T
-            del eff
-            sym *= 0.5
-            sym.flags.writeable = False
-            self._scale_matrix = sym
-        return self._scale_matrix
+        """Effective (symmetric) matricization of the scale, built on first use."""
+        if isinstance(self.scale, KroneckerFactors):
+            m = kronecker_assemble(self.scale)
+        else:
+            m = symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization")
+        m.flags.writeable = False
+        return m
 
-    @property
+    @functools.cached_property
     def chol(self) -> CholeskyFactor:
         """Cholesky factor of :attr:`scale_matrix`: the Kronecker product of the lower factors."""
-        if self._chol is None:
-            lower = functools.reduce(np.kron, reversed(self._lowers))
-            lower.flags.writeable = False
-            self._chol = CholeskyFactor(row_shape=self.shape, lower=lower)
-        return self._chol
+        lower = _kron(self._lowers)
+        lower.flags.writeable = False
+        return CholeskyFactor(row_shape=self.shape, lower=lower)
 
     @property
     def scale_tensor(self) -> SquareTensor:
@@ -358,10 +356,9 @@ class EllipticalParams:
         return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class TensorNormalParams(EllipticalParams):
     """Tensor normal law: the elliptical law with the Gaussian kernel."""
-
-    __slots__ = ()
 
     def __init__(self, location: DenseTensor, scale: ScaleSpec):
         super().__init__(location, scale, NormalKernel())
@@ -387,6 +384,7 @@ def _batch_rows(p: EllipticalParams, points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != p.nstar:
         raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
+    _require_finite(pts)
     return pts
 
 
@@ -402,12 +400,12 @@ def _log_densities(p: EllipticalParams, kernel: RadialKernel, rows: np.ndarray) 
     # location and scale.  Each row's deviation is whitened by solves
     # against the factors (never an explicit inverse), then q is one
     # contiguous dot per row: the same bits as ``z @ z`` of that row alone.
-    # A NaN q from finite entries means the deviation overflowed: q is then
-    # +inf, where both kernels' log g is -inf.
+    # Every row is finite, so a NaN q means the deviation overflowed: q is
+    # then +inf, where both kernels' log g is -inf.
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
         q = np.vecdot(z, z)
-    q[np.isnan(q) & np.isfinite(rows).all(axis=1)] = np.inf
+    q[np.isnan(q)] = np.inf
     return _log_normalizer(p, kernel) + kernel.log_g(q, p.nstar)
 
 

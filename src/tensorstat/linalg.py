@@ -151,6 +151,21 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
     return lower
 
 
+def asymmetry(m: np.ndarray) -> float:
+    """Largest ``|m - m.T|`` of a square matrix; NaN if an entry is NaN."""
+    return float(np.abs(m - m.T).max())
+
+
+def symmetric_part(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """``(m + m.T) / 2``; :class:`SymmetryError` naming ``what`` unless ``asymmetry(m) <= tol``."""
+    asym = asymmetry(m)
+    if not asym <= tol:
+        raise SymmetryError(
+            f"{what} is not symmetric: max |m - m.T| = {asym:.3e} exceeds tolerance {tol:g}"
+        )
+    return 0.5 * (m + m.T)
+
+
 def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
     """Cholesky factorization of the matricization of a symmetric PD tensor.
 
@@ -158,29 +173,21 @@ def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
     the exactly symmetrized matrix so round-off asymmetry cannot leak into
     the factor.
     """
-    m = matricize(s)
-    asym = float(np.abs(m - m.T).max())
-    if asym > tol:
-        raise SymmetryError(
-            f"matricization is not symmetric: max |m - m.T| = {asym:.3e} "
-            f"exceeds tolerance {tol:g}"
-        )
-    sym = 0.5 * (m + m.T)
+    sym = symmetric_part(matricize(s), tol, "matricization")
     return CholeskyFactor(row_shape=s.row_shape, lower=cholesky_lower(sym))
 
 
 def is_symmetric(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
     """Whether ``x`` equals its block transpose within an absolute ``tol``."""
-    m = matricize(x)
-    return float(np.abs(m - m.T).max()) <= tol
+    return asymmetry(matricize(x)) <= tol
 
 
 def is_positive_definite(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
     """Whether ``x`` is symmetric within ``tol`` with a PD matricization."""
-    if not is_symmetric(x, tol):
+    try:
+        return _cholesky_or_none(symmetric_part(matricize(x), tol, "matricization")) is not None
+    except SymmetryError:
         return False
-    m = matricize(x)
-    return _cholesky_or_none(0.5 * (m + m.T)) is not None
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,8 @@ class KroneckerFactors:
     ``factors[i]`` is the ``n_{i+1} x n_{i+1}`` matrix acting along mode
     ``i`` of the tensor; the assembled matricization is their Kronecker
     product taken in the order that matches the column-major vectorization
-    (see :func:`kronecker_assemble`).
+    (see :func:`kronecker_assemble`).  Each is stored read-only as its
+    symmetric part ``(a + a.T) / 2``, within ``1e-12`` of the input.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -198,20 +206,16 @@ class KroneckerFactors:
     def __post_init__(self) -> None:
         cleaned = []
         for k, f in enumerate(self.factors):
-            a = np.array(f, dtype=np.float64, copy=True)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            a = np.asarray(f, dtype=np.float64)
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
                 raise ShapeError(
                     f"factor {k} must be a square matrix, got shape {a.shape}"
                 )
-            # Checked first: an asymmetry test against NaN is always False.
+            # Checked first: a non-finite factor is bad input, not asymmetric.
             _require_finite(a)
-            asym = float(np.abs(a - a.T).max())
-            if asym > 1e-12:
-                raise SymmetryError(
-                    f"factor {k} is not symmetric: max asymmetry {asym:.3e}"
-                )
-            a.flags.writeable = False
-            cleaned.append(a)
+            sym = symmetric_part(a, 1e-12, f"factor {k}")
+            sym.flags.writeable = False
+            cleaned.append(sym)
         if not cleaned:
             raise ShapeError("at least one factor is required")
         object.__setattr__(self, "factors", tuple(cleaned))
@@ -222,6 +226,10 @@ class KroneckerFactors:
         return Shape(tuple(f.shape[0] for f in self.factors))
 
 
+def _kron(mats) -> np.ndarray:
+    return functools.reduce(np.kron, reversed(mats))
+
+
 def kronecker_assemble(f: KroneckerFactors) -> np.ndarray:
     """Dense ``nstar x nstar`` matricization of the structured scale.
 
@@ -230,28 +238,26 @@ def kronecker_assemble(f: KroneckerFactors) -> np.ndarray:
     factor ``i`` along mode ``i`` of any vectorized tensor.  The ordering
     is pinned by a mode-scaling unit test rather than left as convention.
     """
-    return functools.reduce(np.kron, reversed(f.factors))
+    return _kron(f.factors)
 
 
-def kronecker_cholesky(f: KroneckerFactors) -> tuple[np.ndarray, ...]:
+def kronecker_cholesky(factors) -> tuple[np.ndarray, ...]:
     """Per-mode lower factors whose Kronecker product is the Cholesky factor.
 
-    The product of symmetric factors is positive definite exactly when
-    every factor is definite and an even number of them are negative
-    definite, so a negative definite factor contributes the Cholesky
-    factor of its negation and the signs cancel in pairs.  Otherwise
-    raises :class:`DefinitenessError` naming the first non-positive pivot
-    of the assembled product; only this failure path assembles it.
+    ``factors`` are symmetric matrices in mode order, as :class:`KroneckerFactors`
+    stores them; a dense scale is the one-factor case.  The product is
+    positive definite exactly when every factor is definite and an even
+    number are negative definite, so a negative definite factor contributes
+    the Cholesky factor of its negation.  Otherwise raises
+    :class:`DefinitenessError` naming the product's first non-positive pivot.
     """
     lowers, negated = [], 0
-    for a in f.factors:
-        sym = 0.5 * (a + a.T)
-        low = _cholesky_or_none(sym)
+    for a in factors:
+        low = _cholesky_or_none(a)
         if low is None:
-            low = _cholesky_or_none(-sym)
+            low = _cholesky_or_none(-a)
             negated += 1
         lowers.append(low)
     if all(low is not None for low in lowers) and negated % 2 == 0:
         return tuple(lowers)
-    m = kronecker_assemble(f)
-    raise _not_positive_definite(0.5 * (m + m.T))
+    raise _not_positive_definite(_kron(factors))

@@ -17,8 +17,10 @@ ledger recorded on the same host, by running ``--record`` on a checkout of
 the parent commit first.  The name keeps pytest from collecting the file.
 
 The inputs come from ``perfbench.workloads.make_inputs`` (seed 901) at 2x2,
-16x16x4 and 16x16x16, plus hand-written far-point params whose deviation
-overflows float64.
+16x16x4 and 16x16x16, plus dense-scale params made from the covariance
+each 2x2 and 16x16x4 ``estimate`` call writes, hand-written far-point
+params whose deviation overflows float64, and small hand-written params
+for the scale refusals and for the sign rule of Kronecker factors.
 """
 
 from __future__ import annotations
@@ -57,6 +59,21 @@ VERIFY_RUNS = (
 )
 FAR = 1.7e308
 COUPLED = [1.0, 0.5, 0.5, 1.0]
+NEG_COUPLED = [-v for v in COUPLED]
+# name: (location size, scale); every scale here is refused but "pos",
+# "neg-neg" (the same law) and "neg-pos" (refused by the sign rule).
+SCALE_CASES = {
+    "wrong-shape": (3, [1.0, 0.0, 0.0, 1.0]),
+    "wrong-shape-asym": (3, [1.0, 0.5, 0.0, 1.0]),
+    "kron-wrong-shape": (3, [[1.0, 0.0, 0.0, 1.0]]),
+    "indefinite": (2, [1.0, 2.0, 2.0, 1.0]),
+    "negative-definite": (2, [-1.0, 0.0, 0.0, -1.0]),
+    "asym": (2, [1.0, 0.5, 0.0, 1.0]),
+    "asym-factor": (2, [[1.0, 0.5, 0.0, 1.0]]),
+    "pos": (4, [COUPLED, COUPLED]),
+    "neg-neg": (4, [NEG_COUPLED, NEG_COUPLED]),
+    "neg-pos": (4, [NEG_COUPLED, COUPLED]),
+}
 
 
 def environment() -> dict:
@@ -105,15 +122,43 @@ def _far_inputs(work: Path) -> None:
         (work / name).write_text(json.dumps(doc) + "\n")
 
 
-def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
-    """(name, argv, output files) of every call, in the order they run.
+def _scale_case_inputs(work: Path) -> None:
+    # A list of lists is Kronecker factors of 2x2 matrices, a flat list a
+    # dense 2x2 scale; a size-4 location is 2x2.
+    for case, (size, scale) in SCALE_CASES.items():
+        dims = [2, 2] if size == 4 else [size]
+        if isinstance(scale[0], list):
+            scale_doc = {"kind": "kronecker", "factors": [_tensor(f, [2, 2]) for f in scale]}
+        else:
+            scale_doc = _tensor(scale, [2], "square2d")
+        doc = {"location": _tensor([0.0] * size, dims), "scale": scale_doc}
+        (work / f"case-{case}-params.json").write_text(json.dumps(doc) + "\n")
+        point = _tensor([0.25, -1.0, 0.5, 2.0][:size], dims)
+        (work / f"case-{case}-point.json").write_text(json.dumps(point) + "\n")
 
-    Writes the calls' input files under ``work``.
+
+def _dense_params(params: Path, cov: Path, out: Path):
+    # Runs after the estimate call that writes ``cov``: its location with
+    # the estimated covariance as a dense scale.
+    def write() -> None:
+        doc = json.loads(params.read_text())
+        doc["scale"] = json.loads(cov.read_text())
+        out.write_text(json.dumps(doc) + "\n")
+
+    return write
+
+
+def matrix(work: Path) -> list[tuple]:
+    """(name, argv, output files, prepare) of every call, in the order they run.
+
+    Writes the calls' input files under ``work``, or leaves it to the
+    call's ``prepare`` step (``None`` or a function run just before it)
+    when they come from an earlier call's output.
     """
     calls = []
 
-    def add(name, argv, outputs=()):
-        calls.append((name, list(argv), list(outputs)))
+    def add(name, argv, outputs=(), prepare=None):
+        calls.append((name, list(argv), list(outputs), prepare))
 
     for dims, count, estimate in SHAPES:
         tag = "x".join(map(str, dims))
@@ -149,6 +194,24 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
             for cmd in ("invert", "matricize"):
                 out = str(d / f"{cmd}.{ext}")
                 add(f"{cmd}-{tag}-{ext}", [cmd, cov, out], [out])
+        dense = d / "dense-params.json"
+        prepare = _dense_params(d / "params.json", d / "cov.json", dense)
+        for family in ("normal", "student:5"):
+            for log in ((), ("--log",)):
+                add(
+                    f"dense-density{'-log' * bool(log)}-{tag}-{family}",
+                    ["density", str(dense), point, "--family", family, *log],
+                    prepare=prepare,
+                )
+                prepare = None
+            for ext in ("json", "bin"):
+                out = str(d / f"dense-samples-{family}.{ext}")
+                add(
+                    f"dense-sample-{tag}-{family}-{ext}",
+                    ["sample", str(dense), out, "--count", str(count), "--seed", "17",
+                     "--family", family],
+                    [out],
+                )
 
     for spec, *rest in VERIFY_RUNS:
         add(f"verify-{spec}-" + "-".join(rest[1::2]), ["verify", "--shape", spec, *rest])
@@ -163,6 +226,16 @@ def matrix(work: Path) -> list[tuple[str, list[str], list[str]]]:
         for family in families:
             add(f"far-{case}-{family}", ["density", params, point, "--family", family])
             add(f"far-log-{case}-{family}", ["density", params, point, "--family", family, "--log"])
+
+    _scale_case_inputs(work)
+    for case in SCALE_CASES:
+        params, point = str(work / f"case-{case}-params.json"), str(work / f"case-{case}-point.json")
+        add(f"case-{case}", ["density", params, point, "--log"])
+        if case in ("pos", "neg-neg"):
+            add(f"case-{case}-student:5", ["density", params, point, "--family", "student:5"])
+            out = str(work / f"case-{case}-samples.json")
+            add(f"case-{case}-sample", ["sample", params, out, "--count", "5", "--seed", "17"],
+                [out])
     return calls
 
 
@@ -170,8 +243,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_call(name: str, argv: list[str], outputs: list[str], work: str) -> dict:
+def run_call(name: str, argv: list[str], outputs: list[str], prepare, work: str) -> dict:
     """One ledger line; the work directory reads ``{work}`` in argv and text."""
+    if prepare is not None:
+        prepare()
     out, err = io.StringIO(), io.StringIO()
     # A fresh warnings registry per call, so each warning shows as it would
     # in its own process.

@@ -1,6 +1,7 @@
 """Tests for tensor normal and elliptical distributions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ class TestParams:
         with pytest.raises(ShapeError):
             TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((3,)))
 
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            unmatricize(np.triu(np.ones((3, 3))), Shape((3,))),
+            KroneckerFactors((np.eye(3),)),
+        ],
+        ids=["asymmetric-dense", "kronecker"],
+    )
+    def test_shape_is_checked_first(self, scale):
+        # One message for both scale kinds, before any symmetry check.
+        with pytest.raises(ShapeError, match="^scale shape 3 does not match location shape 2$"):
+            TensorNormalParams(DenseTensor.zeros((2,)), scale)
+
     def test_kronecker_shape_mismatch(self):
         with pytest.raises(ShapeError):
             TensorNormalParams(
@@ -136,6 +150,70 @@ class TestParams:
         bad = unmatricize(np.diag([1.0, -1.0, 1.0, 1.0]), Shape((2, 2)))
         with pytest.raises(DefinitenessError):
             TensorNormalParams(DenseTensor.zeros((2, 2)), bad)
+
+    @pytest.mark.parametrize(
+        "m, pivot",
+        [(-np.eye(2), 0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 1)],
+        ids=["negative-definite", "indefinite"],
+    )
+    def test_non_pd_dense_scale_names_its_pivot(self, m, pivot):
+        # A dense scale goes through the Kronecker sign rule as one factor;
+        # its negation is never taken for a definite law.
+        message = f"^matrix is not positive definite: pivot {pivot} is non-positive$"
+        with pytest.raises(DefinitenessError, match=message) as info:
+            TensorNormalParams(DenseTensor.zeros((2,)), unmatricize(m, Shape((2,))))
+        assert info.value.pivot == pivot
+
+    @pytest.mark.parametrize(
+        "location, scale, kernel",
+        [
+            (SquareTensor.identity((2,)), SquareTensor.identity((2,)), NormalKernel()),
+            (DenseTensor.zeros((2,)), np.eye(2), NormalKernel()),
+            (DenseTensor.zeros((2,)), SquareTensor.identity((2,)), "normal"),
+        ],
+        ids=["square-location", "array-scale", "string-kernel"],
+    )
+    def test_wrong_argument_type_is_refused(self, location, scale, kernel):
+        with pytest.raises(TypeError):
+            EllipticalParams(location, scale, kernel)
+
+    @pytest.mark.parametrize(
+        "name", ["location", "scale", "kernel", "log_det", "scale_matrix", "chol"]
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [lambda loc, s: EllipticalParams(loc, s, StudentKernel(nu=5.0)), TensorNormalParams],
+        ids=["elliptical", "normal"],
+    )
+    @pytest.mark.parametrize(
+        "scale",
+        [SquareTensor.identity((2, 2)), KroneckerFactors((np.eye(2), 2.0 * np.eye(2)))],
+        ids=["dense", "kronecker"],
+    )
+    def test_attributes_cannot_be_assigned(self, make, scale, name):
+        p = make(DenseTensor.zeros((2, 2)), scale)
+        before = getattr(p, name)
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5.0)
+        assert getattr(p, name) is before
+        assert normal_log_density(p, DenseTensor.zeros((2, 2))) == pytest.approx(
+            -2.0 * math.log(2.0 * math.pi) - 0.5 * p.log_det, rel=1e-15
+        )
+
+    def test_kronecker_scale_matrix_peaks_near_its_size(self):
+        # The assembled factors are exactly symmetric: no second copy is
+        # taken to symmetrize them.
+        rng = np.random.default_rng(62)
+        mats = tuple(matricize(random_spd(rng, (8,))) for _ in range(3))
+        p = TensorNormalParams(DenseTensor.zeros((8, 8, 8)), KroneckerFactors(mats))
+        tracemalloc.start()
+        try:
+            m = p.scale_matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m.nbytes
+        np.testing.assert_array_equal(m, m.T)
 
     def test_cached_log_det(self):
         rng = np.random.default_rng(61)
@@ -743,16 +821,26 @@ class TestStructuredKronecker:
     def test_far_row_is_minus_inf_beside_a_near_row(self, kernel):
         # The far row's deviation overflows float64 though every entry is
         # finite; its log-density is -inf with no warning, and the near row
-        # keeps its one-row bits.  A row holding a NaN stays NaN.
+        # keeps its one-row bits.
         coupled = np.array([[1.0, 0.5], [0.5, 1.0]])
         loc = DenseTensor([-1.7e308, 0.0, 0.0, 0.0], (2, 2))
         p = EllipticalParams(loc, KroneckerFactors((coupled, coupled)), kernel)
         near = np.array([0.25, -1.0, 0.5, 2.0])
-        rows = np.array([[1.7e308] * 4, near, [math.nan, 0.0, 0.0, 0.0]])
+        rows = np.array([[1.7e308] * 4, near])
         batch = elliptical_log_density_batch(p, rows)
         assert batch[0] == -math.inf
         assert batch[1] == elliptical_log_density(p, DenseTensor(near, (2, 2)))
-        assert math.isnan(batch[2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "batch", [elliptical_log_density_batch, normal_log_density_batch],
+        ids=["elliptical", "normal"],
+    )
+    def test_non_finite_row_is_refused(self, batch, bad):
+        # A row is refused as a DenseTensor point would be, not given NaN.
+        p = EllipticalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)), NormalKernel())
+        with pytest.raises(ValueError, match="must be finite"):
+            batch(p, np.array([[0.5, 1.0], [bad, 0.0]]))
 
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (4, 4, 4)], ids=["2", "2x2", "4x4x4"])
     def test_dense_rows_do_not_depend_on_their_block(self, dims):

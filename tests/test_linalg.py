@@ -1,6 +1,7 @@
 """Tests for determinant, inverse, Cholesky and Kronecker assembly."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -237,6 +238,14 @@ class TestCholesky:
         with pytest.raises(SymmetryError):
             cholesky(x)
 
+    def test_nan_tolerance_refuses(self):
+        # ``not asym <= tol`` fails for a NaN tolerance, even on the identity.
+        eye = SquareTensor.identity((2,))
+        with pytest.raises(SymmetryError):
+            cholesky(eye, tol=math.nan)
+        assert not is_symmetric(eye, math.nan)
+        assert not is_positive_definite(eye, math.nan)
+
     def test_negative_eigenvalue_names_pivot(self):
         # eigenvalue -1 injected along the second axis
         m = np.diag([1.0, -1.0, 2.0])
@@ -362,6 +371,26 @@ class TestKronecker:
             KroneckerFactors((np.zeros((2, 3)),))
         with pytest.raises(SymmetryError):
             KroneckerFactors((np.array([[1.0, 1e-6], [0.0, 1.0]]),))
+
+    def test_empty_factor_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="factor 1 must be a square matrix"):
+            KroneckerFactors((np.eye(2), np.zeros((0, 0))))
+
+    def test_asymmetric_factor_message(self):
+        message = "factor 0 is not symmetric: max |m - m.T| = 1.000e-06 exceeds tolerance 1e-12"
+        with pytest.raises(SymmetryError, match=f"^{re.escape(message)}$"):
+            KroneckerFactors((np.array([[1.0, 1e-6], [0.0, 1.0]]),))
+
+    def test_factor_is_stored_as_its_symmetric_part(self):
+        # An asymmetry within tolerance is removed once, at construction,
+        # so the assembled product is exactly symmetric.
+        a = np.array([[2.0, 0.5], [0.5 + 5e-13, 3.0]])
+        b = np.array([[1.0, 0.25], [0.25, 2.0]])
+        f = KroneckerFactors((a, b))
+        np.testing.assert_array_equal(f.factors[0], 0.5 * (a + a.T))
+        np.testing.assert_array_equal(f.factors[1], b)
+        m = kronecker_assemble(f)
+        np.testing.assert_array_equal(m, m.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_factor_rejected(self, bad):
