@@ -288,12 +288,7 @@ class EllipticalParams:
             )
         if shape != self.shape:
             raise ShapeError(f"scale shape {shape} does not match location shape {self.shape}")
-        # A dense scale is the one-factor case: its symmetric matricization.
-        if isinstance(self.scale, KroneckerFactors):
-            factors = self.scale.factors
-        else:
-            factors = (symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization"),)
-        lowers = kronecker_cholesky(factors)
+        lowers = kronecker_cholesky(self._factors())
         for low in lowers:
             low.flags.writeable = False
         object.__setattr__(self, "_lowers", lowers)
@@ -315,13 +310,17 @@ class EllipticalParams:
         """Log of the density's constant factor, determinant included."""
         return _log_normalizer(self, self.kernel)
 
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """Symmetric factors in mode order: a dense scale's one is its symmetric matricization."""
+        if isinstance(self.scale, KroneckerFactors):
+            return self.scale.factors
+        return (symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization"),)
+
     @functools.cached_property
     def scale_matrix(self) -> np.ndarray:
         """Effective (symmetric) matricization of the scale, built on first use."""
-        if isinstance(self.scale, KroneckerFactors):
-            m = kronecker_assemble(self.scale)
-        else:
-            m = symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization")
+        kron = isinstance(self.scale, KroneckerFactors)
+        m = kronecker_assemble(self.scale) if kron else self._factors()[0]
         m.flags.writeable = False
         return m
 

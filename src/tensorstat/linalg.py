@@ -247,14 +247,14 @@ def kronecker_cholesky(factors) -> tuple[np.ndarray, ...]:
     ``factors`` are symmetric matrices in mode order, as :class:`KroneckerFactors`
     stores them; a dense scale is the one-factor case.  The product is
     positive definite exactly when every factor is definite and an even
-    number are negative definite, so a negative definite factor contributes
-    the Cholesky factor of its negation.  Otherwise raises
+    number are negative definite, so a negative definite factor of two or
+    more contributes the Cholesky factor of its negation.  Otherwise raises
     :class:`DefinitenessError` naming the product's first non-positive pivot.
     """
     lowers, negated = [], 0
     for a in factors:
         low = _cholesky_or_none(a)
-        if low is None:
+        if low is None and len(factors) > 1:
             low = _cholesky_or_none(-a)
             negated += 1
         lowers.append(low)

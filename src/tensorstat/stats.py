@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DegenerateVarianceError, ShapeError
-from .linalg import asymmetry, symmetric_part
+from .linalg import asymmetry
 from .tensor_core import (
     DenseTensor,
     Shape,
@@ -155,9 +155,8 @@ class SampleSet:
 
 
 def _square_diagnostics(m: np.ndarray) -> tuple[float, float]:
-    # Largest |m - m.T| and smallest eigenvalue of the symmetric part,
-    # whatever the asymmetry.
-    return asymmetry(m), float(np.linalg.eigvalsh(symmetric_part(m, np.inf, "m")).min())
+    # Largest |m - m.T| and smallest eigenvalue of the symmetric part.
+    return asymmetry(m), float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .distributions import (
     normal_log_density_vec_oracle,
     normal_sample,
 )
-from .linalg import KroneckerFactors, kronecker_assemble, symmetric_part
+from .linalg import KroneckerFactors, kronecker_assemble
 from .stats import (
     SampleSet,
     correlation,
@@ -135,7 +135,8 @@ def _random_well_conditioned(rng: np.random.Generator, shape: Shape) -> SquareTe
 
 def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    return symmetric_part(a @ a.T / n + ridge * np.eye(n), np.inf, "m")
+    m = a @ a.T / n + ridge * np.eye(n)
+    return 0.5 * (m + m.T)
 
 
 def _random_spd(rng: np.random.Generator, shape: Shape) -> SquareTensor:

@@ -156,13 +156,20 @@ class TestParams:
         [(-np.eye(2), 0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 1)],
         ids=["negative-definite", "indefinite"],
     )
-    def test_non_pd_dense_scale_names_its_pivot(self, m, pivot):
+    def test_non_pd_dense_scale_names_its_pivot(self, m, pivot, monkeypatch):
         # A dense scale goes through the Kronecker sign rule as one factor;
-        # its negation is never taken for a definite law.
+        # a lone factor cannot cancel a sign, so it is factored once, never
+        # negated.
+        import tensorstat.linalg as la
+
+        tried = []
+        factor = la._cholesky_or_none
+        monkeypatch.setattr(la, "_cholesky_or_none", lambda a: tried.append(a) or factor(a))
         message = f"^matrix is not positive definite: pivot {pivot} is non-positive$"
         with pytest.raises(DefinitenessError, match=message) as info:
             TensorNormalParams(DenseTensor.zeros((2,)), unmatricize(m, Shape((2,))))
         assert info.value.pivot == pivot
+        assert len(tried) == 1 and np.array_equal(tried[0], m)
 
     @pytest.mark.parametrize(
         "location, scale, kernel",
