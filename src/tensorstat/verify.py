@@ -156,16 +156,13 @@ def _random_near(rng: np.random.Generator, loc: DenseTensor) -> DenseTensor:
     return DenseTensor._wrap(loc.array + rng.standard_normal(loc.shape.dims), loc.shape)
 
 
-def _unit_scale_spd(shape: Shape, coupling: float = 0.3) -> SquareTensor:
-    # Unit diagonal with constant off-diagonal coupling; PD for coupling < 1.
-    n = shape.nstar
-    m = np.full((n, n), coupling)
+def _pattern_params(shape: Shape) -> TensorNormalParams:
+    # A linspace location and a unit-diagonal scale with constant
+    # off-diagonal coupling 0.3, positive definite at every shape.
+    m = np.full((shape.nstar, shape.nstar), 0.3)
     np.fill_diagonal(m, 1.0)
-    return unmatricize(m, shape)
-
-
-def _pattern_location(shape: Shape) -> DenseTensor:
-    return DenseTensor(np.linspace(-1.0, 1.0, shape.nstar), shape)
+    location = DenseTensor(np.linspace(-1.0, 1.0, shape.nstar), shape)
+    return TensorNormalParams(location, unmatricize(m, shape))
 
 
 def _rel(diff: float, ref: float) -> float:
@@ -173,53 +170,37 @@ def _rel(diff: float, ref: float) -> float:
     return diff / max(abs(ref), 1e-300)
 
 
-def _repeated(instance: Callable[[np.random.Generator, Shape], float]) -> Callable:
-    """Make a table check of an identity check that returns one instance.
-
-    ``instance(rng, shape)`` draws one random case and returns its
-    deviation.  The table check runs it ``INSTANCES`` times on the check's
-    substream and reports the largest deviation; a NaN from any instance
-    makes that NaN, so the check fails instead of dropping the instance.
-    """
-
-    def check(rng: np.random.Generator, shape: Shape, n: int) -> tuple[float, int]:
-        devs = [instance(rng, shape) for _ in range(INSTANCES)]
-        return float(np.max(devs)), INSTANCES
-
-    return check
-
-
 # ---------------------------------------------------------------------------
-# checks: an identity check takes (rng, shape) and returns one instance's
-# deviation; every other check takes (rng, shape, n) and returns
-# (deviation, samples).  Each is registered with its tolerance below.
+# checks: each takes (rng, shape, n), runs one instance and returns its
+# (deviation, samples); the table below registers it with its tolerance
+# and instance count.
 
 
-def _check_mat_roundtrip(rng, shape):
+def _check_mat_roundtrip(rng, shape, n):
     x = _random_square(rng, shape)
-    return float(np.abs(unmatricize(matricize(x), shape).array - x.array).max())
+    return float(np.abs(unmatricize(matricize(x), shape).array - x.array).max()), 1
 
 
-def _check_mat_linearity(rng, shape):
+def _check_mat_linearity(rng, shape, n):
     x = _random_square(rng, shape)
     y = _random_square(rng, shape)
     alpha = float(rng.uniform(-2.0, 2.0))
     lhs = matricize(alpha * x + y)
     rhs = alpha * matricize(x) + matricize(y)
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(lhs - rhs).max()), 1
 
 
-def _check_mat_transpose(rng, shape):
+def _check_mat_transpose(rng, shape, n):
     x = _random_square(rng, shape)
-    return float(np.abs(matricize(transpose2d(x)) - matricize(x).T).max())
+    return float(np.abs(matricize(transpose2d(x)) - matricize(x).T).max()), 1
 
 
-def _check_mat_product(rng, shape):
+def _check_mat_product(rng, shape, n):
     x = _random_square(rng, shape)
     y = _random_square(rng, shape)
     ref = matricize(x) @ matricize(y)
     got = matricize(contract_product(x, y))
-    return _rel(float(np.linalg.norm(got - ref)), float(np.linalg.norm(ref)))
+    return _rel(float(np.linalg.norm(got - ref)), float(np.linalg.norm(ref))), 1
 
 
 def _check_det_identity(rng, shape, n):
@@ -230,41 +211,41 @@ def _check_det_zero(rng, shape, n):
     return abs(linalg.det(SquareTensor.zeros(shape))), 1
 
 
-def _check_det_scale(rng, shape):
+def _check_det_scale(rng, shape, n):
     x = _random_well_conditioned(rng, shape)
     lam = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
     ref = lam**shape.nstar * linalg.det(x)
-    return _rel(abs(linalg.det(lam * x) - ref), ref)
+    return _rel(abs(linalg.det(lam * x) - ref), ref), 1
 
 
-def _check_det_transpose(rng, shape):
+def _check_det_transpose(rng, shape, n):
     x = _random_well_conditioned(rng, shape)
     ref = linalg.det(x)
-    return _rel(abs(linalg.det(transpose2d(x)) - ref), ref)
+    return _rel(abs(linalg.det(transpose2d(x)) - ref), ref), 1
 
 
-def _check_det_product(rng, shape):
+def _check_det_product(rng, shape, n):
     x = _random_well_conditioned(rng, shape)
     y = _random_well_conditioned(rng, shape)
     ref = linalg.det(x) * linalg.det(y)
-    return _rel(abs(linalg.det(contract_product(x, y)) - ref), ref)
+    return _rel(abs(linalg.det(contract_product(x, y)) - ref), ref), 1
 
 
-def _check_det_inverse(rng, shape):
+def _check_det_inverse(rng, shape, n):
     x = _random_well_conditioned(rng, shape)
     ref = 1.0 / linalg.det(x)
-    return _rel(abs(linalg.det(linalg.inverse(x)) - ref), ref)
+    return _rel(abs(linalg.det(linalg.inverse(x)) - ref), ref), 1
 
 
-def _check_inverse_contract(rng, shape):
+def _check_inverse_contract(rng, shape, n):
     x = _random_spd(rng, shape)
     inv = linalg.inverse(x)
     eye = SquareTensor.identity(shape).array
     sides = (contract_product(x, inv).array, contract_product(inv, x).array)
-    return float(np.abs(np.stack(sides) - eye).max())
+    return float(np.abs(np.stack(sides) - eye).max()), 1
 
 
-def _check_kron_mode_scaling(rng, shape):
+def _check_kron_mode_scaling(rng, shape, n):
     # Pins the factor-order convention: the factor stored for mode 1 must
     # weight entries by their mode-1 index in the quadratic form.
     weights = np.arange(1.0, shape.dims[0] + 1.0)
@@ -274,51 +255,46 @@ def _check_kron_mode_scaling(rng, shape):
     v = vec(a)
     got = float(v @ assembled @ v)
     ref = float(np.sum(weights.reshape((-1,) + (1,) * (shape.order - 1)) * a.array**2))
-    return _rel(abs(got - ref), ref)
+    return _rel(abs(got - ref), ref), 1
 
 
-def _check_kron_quadratic_form(rng, shape):
+def _check_kron_quadratic_form(rng, shape, n):
     factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
     assembled = kronecker_assemble(factors)
     a = _random_dense(rng, shape)
     v = vec(a)
     ref = float(v @ assembled @ v)
     got = double_dot_quadratic(a, unmatricize(assembled, shape), a)
-    return _rel(abs(got - ref), ref)
+    return _rel(abs(got - ref), ref), 1
 
 
 def _check_kron_equivalence(rng, shape, n):
-    devs = []
-    for _ in range(10):
-        factors = KroneckerFactors(
-            tuple(_random_spd_matrix(rng, nk) for nk in shape.dims)
-        )
-        loc = _random_dense(rng, shape)
-        dense = TensorNormalParams(loc, unmatricize(kronecker_assemble(factors), shape))
-        structured = TensorNormalParams(loc, factors)
-        report = kronecker_equivalence_check(
-            dense, structured, probes=10, seed=RngSeed(int(rng.integers(2**63)), 0)
-        )
-        devs.append(report.max_abs_deviation)
-    return float(np.max(devs)), 100
+    factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
+    loc = _random_dense(rng, shape)
+    dense = TensorNormalParams(loc, unmatricize(kronecker_assemble(factors), shape))
+    structured = TensorNormalParams(loc, factors)
+    report = kronecker_equivalence_check(
+        dense, structured, probes=10, seed=RngSeed(int(rng.integers(2**63)), 0)
+    )
+    return report.max_abs_deviation, report.probes
 
 
-def _check_cov_mat_consistency(rng, shape):
+def _check_cov_mat_consistency(rng, shape, n):
     s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    return float(np.abs(matricize(covariance(s).value) - covariance_of_vec(s)).max())
+    return float(np.abs(matricize(covariance(s).value) - covariance_of_vec(s)).max()), 1
 
 
-def _check_cov_moment_identity(rng, shape):
+def _check_cov_moment_identity(rng, shape, n):
     s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
     mean = mean_tensor(s)
     acc = np.zeros(shape.dims * 2, order="F")
     for t in s:
         acc += np.multiply.outer(t.array, t.array)
     ref = acc / len(s) - np.asarray(outer(mean, mean).array)
-    return float(np.abs(covariance(s, "mle").value.array - ref).max())
+    return float(np.abs(covariance(s, "mle").value.array - ref).max()), 1
 
 
-def _check_cov_sum_expansion(rng, shape):
+def _check_cov_sum_expansion(rng, shape, n):
     count = int(rng.integers(3, 51))
     sx = _random_sample_set(rng, shape, count)
     sy = _random_sample_set(rng, shape, count)
@@ -330,27 +306,27 @@ def _check_cov_sum_expansion(rng, shape):
         + cross_covariance(sy, sx).value.array
         + covariance(sy).value.array
     )
-    return float(np.abs(total - parts).max())
+    return float(np.abs(total - parts).max()), 1
 
 
-def _check_cov_index_swap(rng, shape):
+def _check_cov_index_swap(rng, shape, n):
     count = int(rng.integers(3, 51))
     sx = _random_sample_set(rng, shape, count)
     sy = _random_sample_set(rng, shape, count)
     kxy = matricize(cross_covariance(sx, sy).value)
     kyx = matricize(cross_covariance(sy, sx).value)
-    return float(np.abs(kxy - kyx.T).max())
+    return float(np.abs(kxy - kyx.T).max()), 1
 
 
-def _check_corr_unit_diagonal(rng, shape):
+def _check_corr_unit_diagonal(rng, shape, n):
     s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    return float(np.abs(np.diag(matricize(correlation(s).value)) - 1.0).max())
+    return float(np.abs(np.diag(matricize(correlation(s).value)) - 1.0).max()), 1
 
 
-def _check_corr_bounds(rng, shape):
+def _check_corr_bounds(rng, shape, n):
     s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
     r = matricize(correlation(s).value)
-    return float(np.maximum(np.abs(r).max() - 1.0, 0.0))
+    return float(np.maximum(np.abs(r).max() - 1.0, 0.0)), 1
 
 
 def _check_independence(rng, shape, n):
@@ -362,11 +338,11 @@ def _check_independence(rng, shape, n):
     return float(np.abs(k).max()), n
 
 
-def _check_density_equivalence(rng, shape):
+def _check_density_equivalence(rng, shape, n):
     loc = _random_dense(rng, shape)
     p = TensorNormalParams(loc, _random_spd(rng, shape))
     x = _random_near(rng, loc)
-    return abs(normal_log_density(p, x) - normal_log_density_vec_oracle(p, x))
+    return abs(normal_log_density(p, x) - normal_log_density_vec_oracle(p, x)), 1
 
 
 def _check_density_normalization(rng, shape, n):
@@ -388,20 +364,20 @@ def _check_density_normalization(rng, shape, n):
 
 
 def _check_moment_recovery_mean(rng, shape, n):
-    p = TensorNormalParams(_pattern_location(shape), _unit_scale_spd(shape))
+    p = _pattern_params(shape)
     s = normal_sample(p, RngSeed(int(rng.integers(2**63)), 0), n)
     dev = np.abs(mean_tensor(s).array - p.location.array)
     return float(dev.max()), n
 
 
 def _check_moment_recovery_cov(rng, shape, n):
-    p = TensorNormalParams(_pattern_location(shape), _unit_scale_spd(shape))
+    p = _pattern_params(shape)
     s = normal_sample(p, RngSeed(int(rng.integers(2**63)), 0), n)
     dev = np.abs(covariance(s).value.array - p.scale_tensor.array)
     return float(dev.max()), n
 
 
-def _check_elliptical_normal(rng, shape):
+def _check_elliptical_normal(rng, shape, n):
     # The kernel route, normal kernel, against the paper's tensor form of
     # the Gaussian density: the double-dot quadratic form of the deviation
     # with the inverse scale, and the LU log-determinant of the scale.
@@ -413,7 +389,7 @@ def _check_elliptical_normal(rng, shape):
     q = double_dot_quadratic(d, linalg.inverse(scale), d)
     _sign, log_det = linalg.slogdet(scale)
     ref = -0.5 * (shape.nstar * LN_2PI + log_det + q)
-    return abs(elliptical_log_density(pe, x) - ref)
+    return abs(elliptical_log_density(pe, x) - ref), 1
 
 
 def _check_elliptical_student_cov(rng, shape, n):
@@ -430,7 +406,7 @@ def _check_elliptical_student_cov(rng, shape, n):
 
 
 def _check_sampling_determinism(rng, shape, n):
-    p = TensorNormalParams(_pattern_location(shape), _unit_scale_spd(shape))
+    p = _pattern_params(shape)
     seed = RngSeed(int(rng.integers(2**63)), 3)
     factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
     student = StudentKernel(nu=5.0)
@@ -450,40 +426,49 @@ def _check_sampling_determinism(rng, shape, n):
     return 0.0, 64
 
 
-# name, tolerance, check; the position in this table picks the check's
-# seed substream, and _repeated runs an identity check INSTANCES times
-_CHECKS: tuple[tuple[str, float, Callable], ...] = (
-    ("mat-roundtrip", 0.0, _repeated(_check_mat_roundtrip)),
-    ("mat-linearity", 0.0, _repeated(_check_mat_linearity)),
-    ("mat-transpose", 0.0, _repeated(_check_mat_transpose)),
-    ("mat-product", 1e-12, _repeated(_check_mat_product)),
-    ("det-identity", 0.0, _check_det_identity),
-    ("det-zero", 0.0, _check_det_zero),
-    ("det-scale", 1e-9, _repeated(_check_det_scale)),
-    ("det-transpose", 1e-10, _repeated(_check_det_transpose)),
-    ("det-product", 1e-9, _repeated(_check_det_product)),
-    ("det-inverse", 1e-9, _repeated(_check_det_inverse)),
-    ("inverse-contract", 1e-10, _repeated(_check_inverse_contract)),
-    ("kronecker-mode-scaling", 1e-12, _repeated(_check_kron_mode_scaling)),
-    ("kronecker-quadratic-form", 1e-12, _repeated(_check_kron_quadratic_form)),
-    ("kronecker-equivalence", 1e-10, _check_kron_equivalence),
-    ("cov-mat-consistency", 1e-12, _repeated(_check_cov_mat_consistency)),
-    ("cov-moment-identity", 1e-12, _repeated(_check_cov_moment_identity)),
-    ("cov-sum-expansion", 1e-12, _repeated(_check_cov_sum_expansion)),
-    ("cov-index-swap", 0.0, _repeated(_check_cov_index_swap)),
-    ("corr-unit-diagonal", 0.0, _repeated(_check_corr_unit_diagonal)),
-    ("corr-bounds", 1e-12, _repeated(_check_corr_bounds)),
-    ("independence-zero-crosscov", 0.02, _check_independence),
-    ("density-equivalence", 1e-10, _repeated(_check_density_equivalence)),
-    ("density-normalization", 1e-3, _check_density_normalization),
-    ("moment-recovery-mean", 0.02, _check_moment_recovery_mean),
-    ("moment-recovery-cov", 0.05, _check_moment_recovery_cov),
-    ("elliptical-normal-consistency", 1e-12, _repeated(_check_elliptical_normal)),
-    ("elliptical-student-covariance", 0.1, _check_elliptical_student_cov),
-    ("sampling-determinism", 0.0, _check_sampling_determinism),
+# name, tolerance, instances, check; the position in this table picks the
+# check's seed substream
+_CHECKS: tuple[tuple[str, float, int, Callable], ...] = (
+    ("mat-roundtrip", 0.0, INSTANCES, _check_mat_roundtrip),
+    ("mat-linearity", 0.0, INSTANCES, _check_mat_linearity),
+    ("mat-transpose", 0.0, INSTANCES, _check_mat_transpose),
+    ("mat-product", 1e-12, INSTANCES, _check_mat_product),
+    ("det-identity", 0.0, 1, _check_det_identity),
+    ("det-zero", 0.0, 1, _check_det_zero),
+    ("det-scale", 1e-9, INSTANCES, _check_det_scale),
+    ("det-transpose", 1e-10, INSTANCES, _check_det_transpose),
+    ("det-product", 1e-9, INSTANCES, _check_det_product),
+    ("det-inverse", 1e-9, INSTANCES, _check_det_inverse),
+    ("inverse-contract", 1e-10, INSTANCES, _check_inverse_contract),
+    ("kronecker-mode-scaling", 1e-12, INSTANCES, _check_kron_mode_scaling),
+    ("kronecker-quadratic-form", 1e-12, INSTANCES, _check_kron_quadratic_form),
+    ("kronecker-equivalence", 1e-10, 10, _check_kron_equivalence),
+    ("cov-mat-consistency", 1e-12, INSTANCES, _check_cov_mat_consistency),
+    ("cov-moment-identity", 1e-12, INSTANCES, _check_cov_moment_identity),
+    ("cov-sum-expansion", 1e-12, INSTANCES, _check_cov_sum_expansion),
+    ("cov-index-swap", 0.0, INSTANCES, _check_cov_index_swap),
+    ("corr-unit-diagonal", 0.0, INSTANCES, _check_corr_unit_diagonal),
+    ("corr-bounds", 1e-12, INSTANCES, _check_corr_bounds),
+    ("independence-zero-crosscov", 0.02, 1, _check_independence),
+    ("density-equivalence", 1e-10, INSTANCES, _check_density_equivalence),
+    ("density-normalization", 1e-3, 1, _check_density_normalization),
+    ("moment-recovery-mean", 0.02, 1, _check_moment_recovery_mean),
+    ("moment-recovery-cov", 0.05, 1, _check_moment_recovery_cov),
+    ("elliptical-normal-consistency", 1e-12, INSTANCES, _check_elliptical_normal),
+    ("elliptical-student-covariance", 0.1, 1, _check_elliptical_student_cov),
+    ("sampling-determinism", 0.0, 1, _check_sampling_determinism),
 )
 
-CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
+CHECK_NAMES = tuple(row[0] for row in _CHECKS)
+
+
+def _run_check(index: int, seed: int, shape: Shape, n: int) -> tuple[float, int]:
+    # Runs the check's instances on its substream and reports the largest
+    # deviation, NaN if any instance gave NaN, and the summed samples.
+    _name, _tolerance, instances, check = _CHECKS[index]
+    rng = RngSeed(seed, index).generator()
+    devs, samples = zip(*(check(rng, shape, n) for _ in range(instances)))
+    return float(np.max(devs)), sum(samples)
 
 
 def run_verification(
@@ -498,18 +483,20 @@ def run_verification(
     deviation above its tolerance, so the failure reporting path can be
     exercised; leave it ``None`` in real runs.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check {corrupt!r}; known checks: {', '.join(CHECK_NAMES)}")
     results = []
-    for index, (name, tolerance, fn) in enumerate(_CHECKS):
-        deviation, samples = fn(RngSeed(seed, index).generator(), shape, n)
+    for index, (name, tolerance, _instances, _check) in enumerate(_CHECKS):
+        deviation, samples = _run_check(index, seed, shape, n)
         if corrupt == name:
             deviation = tolerance + max(1.0, tolerance)
         results.append(
             CheckResult(
                 name=name,
                 passed=deviation <= tolerance,
-                deviation=float(deviation),
+                deviation=deviation,
                 tolerance=tolerance,
                 samples=samples,
             )

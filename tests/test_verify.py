@@ -48,15 +48,18 @@ def test_one_nan_product_fails_mat_product(monkeypatch):
     assert result.samples == verify.INSTANCES
 
 
-def test_repeated_reduces_one_nan_instance_to_nan():
+def test_driver_reduces_one_nan_instance_to_nan(monkeypatch):
     calls = []
 
-    def instance(rng, shape):
+    def instance(rng, shape, n):
         calls.append(None)
-        return math.nan if len(calls) == 17 else float(rng.uniform())
+        return (math.nan if len(calls) == 17 else float(rng.uniform())), 1
 
-    check = verify._repeated(instance)
-    deviation, samples = check(np.random.default_rng(0), Shape((2,)), 10)
+    name, tolerance, instances, _check = verify._CHECKS[0]
+    assert instances == verify.INSTANCES
+    table = ((name, tolerance, instances, instance),) + verify._CHECKS[1:]
+    monkeypatch.setattr(verify, "_CHECKS", table)
+    deviation, samples = verify._run_check(0, 1729, Shape((2,)), 10)
     assert len(calls) == samples == verify.INSTANCES
     assert math.isnan(deviation)
 
@@ -79,11 +82,14 @@ def test_density_normalization_matches_the_full_grid():
     assert deviation.hex() == full.hex()
 
 
+def run_one(name):
+    index = verify.CHECK_NAMES.index(name)
+    deviation, samples = verify._run_check(index, 1729, Shape((2, 2)), 100)
+    return deviation, verify._CHECKS[index][1], samples
+
+
 def density_normalization():
-    _name, tolerance, check = next(
-        c for c in verify._CHECKS if c[0] == "density-normalization"
-    )
-    deviation, _samples = check(np.random.default_rng(0), Shape((2, 2)), 100)
+    deviation, tolerance, _samples = run_one("density-normalization")
     return deviation, tolerance
 
 
@@ -116,10 +122,7 @@ def test_doubled_log_det_fails_density_normalization(monkeypatch):
 
 
 def elliptical_normal_consistency():
-    _name, tolerance, check = next(
-        c for c in verify._CHECKS if c[0] == "elliptical-normal-consistency"
-    )
-    deviation, samples = check(np.random.default_rng(0), Shape((2, 2)), 100)
+    deviation, tolerance, samples = run_one("elliptical-normal-consistency")
     assert samples == verify.INSTANCES
     return deviation, tolerance
 
@@ -138,6 +141,36 @@ def test_perturbed_whitening_fails_elliptical_normal_consistency(monkeypatch):
     )
     deviation, tolerance = elliptical_normal_consistency()
     assert deviation > tolerance
+
+
+@pytest.mark.parametrize("n", [2000, 3000])
+def test_samples_column_counts_what_each_check_ran(n):
+    fixed = {
+        "kronecker-equivalence": 100,
+        "density-normalization": 201**2,
+        "sampling-determinism": 64,
+        "det-identity": 1,
+        "det-zero": 1,
+        "independence-zero-crosscov": n,
+        "moment-recovery-mean": n,
+        "moment-recovery-cov": n,
+        "elliptical-student-covariance": 2 * n,
+    }
+    report = verify.run_verification(Shape((2, 2)), n=n, seed=1729)
+    assert [r.name for r in report.results] == list(verify.CHECK_NAMES)
+    for r in report.results:
+        assert r.samples == fixed.get(r.name, verify.INSTANCES), r.line()
+    assert sum(r.samples == verify.INSTANCES for r in report.results) == 19
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_fewer_than_two_observations_refused_before_any_check(monkeypatch, n):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_run_check", no_check)
+    with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
+        verify.run_verification(Shape((2, 2)), n=n)
 
 
 @pytest.mark.parametrize("name", ["mat-roundtrip", "det-product", "sampling-determinism"])
