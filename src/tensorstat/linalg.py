@@ -112,8 +112,8 @@ class CholeskyFactor:
 
 
 def _first_nonpositive_pivot(m: np.ndarray) -> int:
-    # Textbook column sweep; runs only on the failure path to locate the
-    # pivot that broke positive definiteness.
+    # Textbook column sweep over one factor; runs only on the failure path
+    # to locate the pivot that broke positive definiteness.
     n = m.shape[0]
     lower = np.zeros_like(m)
     for j in range(n):
@@ -123,13 +123,6 @@ def _first_nonpositive_pivot(m: np.ndarray) -> int:
         lower[j, j] = math.sqrt(d)
         lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
     return n - 1
-
-
-def _not_positive_definite(m: np.ndarray) -> DefinitenessError:
-    pivot = _first_nonpositive_pivot(np.asarray(m, dtype=np.float64))
-    return DefinitenessError(
-        f"matrix is not positive definite: pivot {pivot} is non-positive", pivot=pivot
-    )
 
 
 def _cholesky_or_none(m: np.ndarray):
@@ -145,10 +138,7 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
     Raises :class:`DefinitenessError` naming the first non-positive pivot
     when the matrix is not positive definite.
     """
-    lower = _cholesky_or_none(m)
-    if lower is None:
-        raise _not_positive_definite(m)
-    return lower
+    return kronecker_cholesky((np.asarray(m, dtype=np.float64),))[0]
 
 
 def asymmetry(m: np.ndarray) -> float:
@@ -245,19 +235,29 @@ def kronecker_cholesky(factors) -> tuple[np.ndarray, ...]:
     """Per-mode lower factors whose Kronecker product is the Cholesky factor.
 
     ``factors`` are symmetric matrices in mode order, as :class:`KroneckerFactors`
-    stores them; a dense scale is the one-factor case.  The product is
-    positive definite exactly when every factor is definite and an even
-    number are negative definite, so a negative definite factor of two or
-    more contributes the Cholesky factor of its negation.  Otherwise raises
-    :class:`DefinitenessError` naming the product's first non-positive pivot.
+    stores them; a dense scale is the one-factor case.  The product's
+    unpivoted pivots are products of the factors' own pivots in column-major
+    multi-index order, so the product is read from the factors alone and
+    never formed.  Its first pivot is the product of the first entries: the
+    scale is refused with pivot 0 unless their signs multiply to +1.  Each
+    factor is then factored once, signed by its first entry, so a negative
+    definite factor contributes the Cholesky factor of its negation.  The
+    first factor, in mode order, that fails refuses the scale with
+    :class:`DefinitenessError` naming the product's first non-positive
+    pivot: its mode stride ``n_1 ... n_{k-1}`` times the factor's own.
     """
-    lowers, negated = [], 0
-    for a in factors:
-        low = _cholesky_or_none(a)
-        if low is None and len(factors) > 1:
-            low = _cholesky_or_none(-a)
-            negated += 1
-        lowers.append(low)
-    if all(low is not None for low in lowers) and negated % 2 == 0:
-        return tuple(lowers)
-    raise _not_positive_definite(_kron(factors))
+    pivot, lowers, stride = 0, [], 1
+    if math.prod(np.sign(a[0, 0]) for a in factors) > 0:
+        for a in factors:
+            signed = a if a[0, 0] > 0 else -a
+            low = _cholesky_or_none(signed)
+            if low is None:
+                pivot = stride * _first_nonpositive_pivot(signed)
+                break
+            lowers.append(low)
+            stride *= a.shape[0]
+        else:
+            return tuple(lowers)
+    raise DefinitenessError(
+        f"matrix is not positive definite: pivot {pivot} is non-positive", pivot=pivot
+    )

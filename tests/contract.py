@@ -60,8 +60,9 @@ VERIFY_RUNS = (
 FAR = 1.7e308
 COUPLED = [1.0, 0.5, 0.5, 1.0]
 NEG_COUPLED = [-v for v in COUPLED]
-# name: (location size, scale); every scale here is refused but "pos",
-# "neg-neg" (the same law) and "neg-pos" (refused by the sign rule).
+# name: (location size, scale); every scale here is refused but "pos" and
+# "neg-neg" (the same law).  "neg-pos" is refused by the sign rule at pivot
+# 0; the last three by the pivot of their first failing mode (2, 2 and 1).
 SCALE_CASES = {
     "wrong-shape": (3, [1.0, 0.0, 0.0, 1.0]),
     "wrong-shape-asym": (3, [1.0, 0.5, 0.0, 1.0]),
@@ -73,6 +74,9 @@ SCALE_CASES = {
     "pos": (4, [COUPLED, COUPLED]),
     "neg-neg": (4, [NEG_COUPLED, NEG_COUPLED]),
     "neg-pos": (4, [NEG_COUPLED, COUPLED]),
+    "pos-indefinite": (4, [COUPLED, [1.0, 2.0, 2.0, 1.0]]),
+    "neg-indefinite": (4, [NEG_COUPLED, [-1.0, -2.0, -2.0, -1.0]]),
+    "indefinite-pos": (4, [[1.0, 2.0, 2.0, 1.0], COUPLED]),
 }
 
 

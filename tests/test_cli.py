@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from tensorstat.tensorfile import (
     write_sample_set,
     write_tensor,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *args):
@@ -470,6 +476,36 @@ class TestDensity:
         write_tensor(str(point), DenseTensor.zeros((2,)))
         code, _, _ = run(capsys, "density", str(params), str(point))
         assert code == 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_non_pd_kronecker_scale_is_refused_without_assembly(self, tmp_path):
+        # The assembled 32x32x32 scale would take 8 GiB; under a 2 GiB
+        # address-space limit the refusal must still exit 3, naming the
+        # pivot 32 * 32 * 31 read from the factors.
+        import resource
+
+        dims = (32, 32, 32)
+        last = np.diag([1.0] * 31 + [-1.0])
+        params, point = tmp_path / "p.json", tmp_path / "pt.json"
+        write_params(
+            str(params), DenseTensor.zeros(dims), KroneckerFactors((np.eye(32), np.eye(32), last))
+        )
+        write_tensor(str(point), DenseTensor.zeros(dims))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        # One BLAS thread keeps the interpreter's own reservation small on
+        # hosts with many cores.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from tensorstat.cli import entry; entry()",
+             "density", str(params), str(point)],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        )
+        message = "error: matrix is not positive definite: pivot 31744 is non-positive\n"
+        assert (proc.returncode, proc.stderr) == (3, message)
 
     def test_unknown_family_exits_2(self, capsys, tmp_path, std_normal_params):
         point = tmp_path / "pt.json"

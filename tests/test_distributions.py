@@ -152,14 +152,14 @@ class TestParams:
             TensorNormalParams(DenseTensor.zeros((2, 2)), bad)
 
     @pytest.mark.parametrize(
-        "m, pivot",
-        [(-np.eye(2), 0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 1)],
+        "m, pivot, attempts",
+        [(-np.eye(2), 0, 0), (np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 1)],
         ids=["negative-definite", "indefinite"],
     )
-    def test_non_pd_dense_scale_names_its_pivot(self, m, pivot, monkeypatch):
-        # A dense scale goes through the Kronecker sign rule as one factor;
-        # a lone factor cannot cancel a sign, so it is factored once, never
-        # negated.
+    def test_non_pd_dense_scale_names_its_pivot(self, m, pivot, attempts, monkeypatch):
+        # A dense scale goes through the Kronecker sign rule as one factor:
+        # a negative first entry is refused before any factorization, and
+        # a positive one is factored once, as itself, never negated.
         import tensorstat.linalg as la
 
         tried = []
@@ -169,7 +169,8 @@ class TestParams:
         with pytest.raises(DefinitenessError, match=message) as info:
             TensorNormalParams(DenseTensor.zeros((2,)), unmatricize(m, Shape((2,))))
         assert info.value.pivot == pivot
-        assert len(tried) == 1 and np.array_equal(tried[0], m)
+        assert len(tried) == attempts
+        assert all(np.array_equal(a, m) for a in tried)
 
     @pytest.mark.parametrize(
         "location, scale, kernel",
@@ -895,6 +896,7 @@ class TestStructuredKronecker:
             ((np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(3)), 1),
             ((np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]])), 3),
             ((-np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(3)), 0),
+            ((-np.array([[2.0, 1.0], [1.0, 2.0]]), -np.array([[1.0, 2.0], [2.0, 1.0]])), 2),
         ],
     )
     def test_non_pd_product_names_pivot(self, factors, pivot):
@@ -923,6 +925,24 @@ class TestStructuredKronecker:
                 tracemalloc.stop()
             assert math.isfinite(value)
             assert peak < 8 * 2**20
+
+    def test_refusal_memory_stays_small(self):
+        # The assembled 16x16x16 product alone is 128 MiB; the refusal reads
+        # its pivot, 16 * 16 * 15, from the factors.
+        import tracemalloc
+
+        last = np.diag([1.0] * 15 + [-1.0])
+        f = KroneckerFactors((np.eye(16), np.eye(16), last))
+        loc = DenseTensor.zeros((16, 16, 16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DefinitenessError) as info:
+                TensorNormalParams(loc, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.pivot == 3840
+        assert peak < 2**20
 
     @pytest.mark.parametrize("kernel", [NormalKernel(), StudentKernel(nu=5.0)])
     def test_sample_memory_stays_small(self, kernel):

@@ -12,13 +12,16 @@ from tensorstat.linalg import (
     RCOND_LIMIT,
     CholeskyFactor,
     KroneckerFactors,
+    _first_nonpositive_pivot,
     _inverse_and_rcond,
+    _kron,
     cholesky,
     det,
     inverse,
     is_positive_definite,
     is_symmetric,
     kronecker_assemble,
+    kronecker_cholesky,
     slogdet,
 )
 from tensorstat.tensor_core import (
@@ -401,6 +404,60 @@ class TestKronecker:
                 KroneckerFactors((factor, np.eye(2)))
             with pytest.raises(ValueError, match="finite"):
                 KroneckerFactors((np.eye(2), factor))
+
+
+def random_signed_factor(rng, n):
+    # Q diag(ev) Q^T with |ev| in [0.5, 2] and eigenvalue signs all +,
+    # all - or mixed.
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signs = [np.ones(n), -np.ones(n), rng.choice([-1.0, 1.0], size=n)][rng.integers(3)]
+    m = q @ (signs * rng.uniform(0.5, 2.0, size=n) * q).T
+    return 0.5 * (m + m.T)
+
+
+ZERO_CORNER_FACTORS = [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, 0.0], [0.0, 1.0]]),
+    np.array([[-0.0, 2.0], [2.0, -3.0]]),
+]
+
+
+class TestKroneckerCholesky:
+    """The product's verdict and pivot are read from its factors alone."""
+
+    def test_derived_pivot_matches_assembled_loop(self):
+        # The assembled product and its column sweep are the oracle here:
+        # either the lowers reassemble the product's Cholesky factor, or
+        # the refusal names the product's first non-positive pivot.
+        rng = np.random.default_rng(2201)
+        accepted = refused = 0
+        for _ in range(600):
+            factors = []
+            for _ in range(rng.integers(1, 4)):
+                if rng.random() < 0.1:
+                    factors.append(ZERO_CORNER_FACTORS[rng.integers(len(ZERO_CORNER_FACTORS))])
+                else:
+                    factors.append(random_signed_factor(rng, int(rng.integers(1, 5))))
+            product = _kron(factors)
+            try:
+                lowers = kronecker_cholesky(tuple(factors))
+            except DefinitenessError as e:
+                assert e.pivot == _first_nonpositive_pivot(product)
+                refused += 1
+                continue
+            low = _kron(lowers)
+            assert np.all(np.diag(low) > 0.0)
+            assert np.abs(low @ low.T - product).max() <= 1e-12 * np.abs(product).max()
+            accepted += 1
+        assert accepted >= 100 and refused >= 100
+
+    def test_tiny_first_entries_are_accepted(self):
+        # The product of the first entries underflows to 0; their signs
+        # decide, not their values.
+        factors = (np.diag([1e-110, 1.0]),) * 3
+        lowers = kronecker_cholesky(factors)
+        for low in lowers:
+            np.testing.assert_array_equal(low, np.diag([1e-55, 1.0]))
 
 
 class TestCholeskyFactorValue:
