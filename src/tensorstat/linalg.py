@@ -42,10 +42,20 @@ RCOND_LIMIT = 1e-12
 SYMMETRY_TOL = 1e-10
 
 
+def _dets(matrices: np.ndarray) -> np.ndarray:
+    # Signed determinants of a (B, n, n) stack; inf where one overflows.
+    with np.errstate(over="ignore"):
+        return np.linalg.det(matrices)
+
+
 def det(x: SquareTensor) -> float:
     """Signed determinant of the matricization; ``inf`` once it overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.det(matricize(x)))
+    return float(_dets(matricize(x)[None])[0])
+
+
+def _slogdets(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Signs and log absolute determinants of a (B, n, n) stack.
+    return tuple(np.linalg.slogdet(matrices))
 
 
 def slogdet(x: SquareTensor) -> tuple[float, float]:
@@ -54,22 +64,38 @@ def slogdet(x: SquareTensor) -> tuple[float, float]:
     Stays finite where :func:`det` overflows or underflows; a singular
     matricization gives ``(0.0, -inf)``.
     """
-    sign, logabsdet = np.linalg.slogdet(matricize(x))
-    return float(sign), float(logabsdet)
+    sign, logabsdet = _slogdets(matricize(x)[None])
+    return float(sign[0]), float(logabsdet[0])
 
 
-def _inverse_and_rcond(m: np.ndarray) -> tuple[np.ndarray | None, float]:
-    # The exact 1-norm reciprocal condition 1 / (|m|_1 |m^-1|_1), from the
-    # inverse that is returned anyway.  It is never larger than LAPACK's
-    # estimate, and the 1-norm condition number is within a factor n of
-    # the 2-norm one.  A singular or overflowing inverse gives 0.0.
+def _inverse_and_rcond(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    # Inverses of a (B, n, n) stack and their exact 1-norm reciprocal
+    # conditions 1 / (|m|_1 |m^-1|_1), from the inverses that are returned
+    # anyway.  Each is never larger than LAPACK's estimate, and the 1-norm
+    # condition number is within a factor n of the 2-norm one.  A singular
+    # matrix anywhere in the stack gives no inverses and rcond 0.0; an
+    # overflowing inverse gives 0.0.
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        return None, 0.0
+        return None, np.zeros(len(m))
     with np.errstate(all="ignore"):
-        rcond = float(1.0 / (np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()))
-    return inv, (rcond if math.isfinite(rcond) else 0.0)
+        rcond = 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1))
+    return inv, np.where(np.isfinite(rcond), rcond, 0.0)
+
+
+def _inverses(matrices: np.ndarray) -> np.ndarray:
+    # Inverses of a (B, n, n) stack of matricizations; refused as a whole
+    # when any reciprocal condition number falls below RCOND_LIMIT.
+    inv, rcond = _inverse_and_rcond(matrices)
+    worst = float(rcond.min())
+    if not worst >= RCOND_LIMIT:
+        raise SingularTensorError(
+            f"matricization is singular or ill-conditioned: reciprocal "
+            f"condition number {worst:.3e} is below {RCOND_LIMIT:g}",
+            rcond=worst,
+        )
+    return inv
 
 
 def inverse(x: SquareTensor) -> SquareTensor:
@@ -80,14 +106,7 @@ def inverse(x: SquareTensor) -> SquareTensor:
     below ``RCOND_LIMIT``, a :class:`SingularTensorError` carrying it is
     raised.
     """
-    inv, rcond = _inverse_and_rcond(matricize(x))
-    if not rcond >= RCOND_LIMIT:
-        raise SingularTensorError(
-            f"matricization is singular or ill-conditioned: reciprocal "
-            f"condition number {rcond:.3e} is below {RCOND_LIMIT:g}",
-            rcond=rcond,
-        )
-    return unmatricize(inv, x.row_shape)
+    return unmatricize(_inverses(matricize(x)[None])[0], x.row_shape)
 
 
 @dataclass(frozen=True)
@@ -216,8 +235,18 @@ class KroneckerFactors:
         return Shape(tuple(f.shape[0] for f in self.factors))
 
 
+def _kron_stack(stacks) -> np.ndarray:
+    # Kronecker products, element by element, of (B, r_k, c_k) stacks in
+    # mode order; entry (i r_b + k, j c_b + l) of kron(a, b) is a[i, j] b[k, l].
+    def kron(a, b):
+        rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), rows, cols)
+
+    return functools.reduce(kron, reversed(stacks))
+
+
 def _kron(mats) -> np.ndarray:
-    return functools.reduce(np.kron, reversed(mats))
+    return _kron_stack([m[None] for m in mats])[0]
 
 
 def kronecker_assemble(f: KroneckerFactors) -> np.ndarray:

@@ -241,16 +241,47 @@ def _denominator(n: int, normalization: str) -> float:
     return float(n)
 
 
-def _deviations(s: SampleSet) -> np.ndarray:
-    # (N, n1, .., nD) deviations of the observations from their mean, laid
-    # out C-contiguous so the contraction reshapes one operand for free.
-    return np.subtract(s.block, mean_tensor(s).array, order="C")
+def _blocks(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    # (G, N, nstar) stacked sample rows as (G, N, n1, .., nD) multi-index
+    # views: each row is a column-major vec, so its reversed C-order
+    # reshape is the observation.
+    d = shape.order
+    by_cell = rows.reshape(rows.shape[:2] + shape.dims[::-1])
+    return np.transpose(by_cell, (0, 1) + tuple(range(d + 1, 1, -1)))
 
 
-def _contract_samples(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    # Sum over the sample axis of the outer products of paired deviations:
-    # an (n_x.., n_y..) multi-index array.
-    return np.tensordot(dx, dy, axes=(0, 0))
+def _deviations(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    # (G, N, n1, .., nD) deviations of the observations from their set's
+    # mean, laid out C-contiguous so the contraction reshapes for free.
+    means = _blocks(rows.mean(axis=1)[:, None], shape)
+    return np.subtract(_blocks(rows, shape), means, order="C")
+
+
+def _cross_covariances(
+    rx: np.ndarray, ry: np.ndarray, shape_x: Shape, shape_y: Shape, denom: float, same: bool
+) -> np.ndarray:
+    # The estimator of cross_covariance over stacks of G paired sets:
+    # (G, N, nstar_x) and (G, N, nstar_y) rows give (G, n_x.., n_y..).
+    # ``same`` says each pair holds the same observations, which take one
+    # contraction.  Finite observations can still overflow the mean or the
+    # sums of products; the result is refused instead of warned about.
+    g, count = rx.shape[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = _deviations(rx, shape_x).reshape(g, count, shape_x.nstar)
+        dy = dx if same else _deviations(ry, shape_y).reshape(g, count, shape_y.nstar)
+        # Sums over the sample axis of the outer products of paired deviations.
+        kxy = np.matmul(dx.transpose(0, 2, 1), dy)
+        kyx = kxy if same else np.matmul(dy.transpose(0, 2, 1), dx)
+        kxy = kxy.reshape((g,) + shape_x.dims + shape_y.dims)
+        kyx = kyx.reshape((g,) + shape_y.dims + shape_x.dims)
+        order_y = shape_y.order
+        swap = (0,) + tuple(range(order_y + 1, kyx.ndim)) + tuple(range(1, order_y + 1))
+        acc = np.add(kxy, np.transpose(kyx, swap), order="F")
+        acc *= 0.5
+        acc /= denom
+    if not np.isfinite(acc).all():
+        raise ValueError("sample covariance overflows float64")
+    return acc
 
 
 def cross_covariance(
@@ -275,24 +306,9 @@ def cross_covariance(
     same = sx is sy or (
         sx.shape == sy.shape and np.array_equal(sx.to_matrix(), sy.to_matrix())
     )
-    # Finite observations can still overflow the mean or the sums of
-    # products; the result is refused below instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = _deviations(sx)
-        if same:
-            kxy = _contract_samples(dx, dx)
-            kyx = kxy
-        else:
-            dy = _deviations(sy)
-            kxy = _contract_samples(dx, dy)
-            kyx = _contract_samples(dy, dx)
-        order_y = sy.shape.order
-        swap = tuple(range(order_y, kyx.ndim)) + tuple(range(order_y))
-        acc = np.add(kxy, np.transpose(kyx, swap), order="F")
-        acc *= 0.5
-        acc /= denom
-    if not np.isfinite(acc).all():
-        raise ValueError("sample covariance overflows float64")
+    acc = _cross_covariances(
+        sx.to_matrix()[None], sy.to_matrix()[None], sx.shape, sy.shape, denom, same
+    )[0]
     if sx.shape == sy.shape:
         value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(acc, sx.shape)
     else:
@@ -320,12 +336,16 @@ def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarr
     ``ValueError`` when the result overflows float64, as :func:`covariance`
     does.
     """
-    denom = _denominator(len(s), normalization)
-    v = s.to_matrix()
-    # Refused below like cross_covariance's overflow, not warned about.
+    return _vec_covariances(s.to_matrix()[None], _denominator(len(s), normalization))[0]
+
+
+def _vec_covariances(rows: np.ndarray, denom: float) -> np.ndarray:
+    # covariance_of_vec over a (G, N, nstar) stack of sets: centre, then
+    # one matrix product per set.  Refused below like cross_covariance's
+    # overflow, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        d = v - v.mean(axis=0)
-        cov = d.T @ d / denom
+        d = rows - rows.mean(axis=1, keepdims=True)
+        cov = np.matmul(d.transpose(0, 2, 1), d) / denom
     if not np.isfinite(cov).all():
         raise ValueError("sample covariance overflows float64")
     return cov
@@ -345,26 +365,36 @@ def _require_on_degenerate(on_degenerate: str) -> None:
 
 
 def _degenerate_cells(sd: np.ndarray, shape: Shape, on_degenerate: str, prefix: str = ""):
-    # Vec-order mask of zero-variance cells; "error" names the first instead.
+    # Vec-order mask of zero-variance cells, over the last axis of ``sd``;
+    # "error" names the first instead.
     degenerate = sd <= 0.0
     if degenerate.any() and on_degenerate == "error":
-        k = int(np.flatnonzero(degenerate)[0])
+        k = int(np.flatnonzero(degenerate)[0]) % shape.nstar
         cell = tuple(int(i) for i in np.unravel_index(k, shape.dims, order="F"))
         raise DegenerateVarianceError(f"{prefix}cell {cell} has zero sample variance", index=cell)
     return degenerate
 
 
 def _standardize(c, sd_x, sd_y, deg_x, deg_y, unit_diagonal: bool = False) -> np.ndarray:
-    # c / (sd_x sd_y^T), degenerate rows and columns 0, bounds checked last.
-    r = c / np.outer(np.where(deg_x, 1.0, sd_x), np.where(deg_y, 1.0, sd_y))
-    r[deg_x, :] = 0.0
-    r[:, deg_y] = 0.0
+    # c / (sd_x sd_y^T) over the last two axes, degenerate rows and columns
+    # 0, bounds checked last.
+    r = c / (np.where(deg_x, 1.0, sd_x)[..., :, None] * np.where(deg_y, 1.0, sd_y)[..., None, :])
+    r[np.broadcast_to(deg_x[..., :, None] | deg_y[..., None, :], r.shape)] = 0.0
     if unit_diagonal:
-        np.fill_diagonal(r, 1.0)
+        diagonal = np.arange(r.shape[-1])
+        r[..., diagonal, diagonal] = 1.0
     worst = float(np.abs(r).max())
     if not worst <= 1.0 + 1e-12:
         raise ValueError(f"correlation entry out of [-1, 1] beyond round-off: {worst!r}")
     return r
+
+
+def _correlations(c: np.ndarray, shape: Shape, on_degenerate: str) -> tuple[np.ndarray, np.ndarray]:
+    # Correlation matrices and cell standard deviations of a (G, nstar,
+    # nstar) stack of matricized MLE covariances.
+    sd = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
+    degenerate = _degenerate_cells(sd, shape, on_degenerate)
+    return _standardize(c, sd, sd, degenerate, degenerate, unit_diagonal=True), sd
 
 
 def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
@@ -377,9 +407,7 @@ def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
     """
     _require_on_degenerate(on_degenerate)
     c = matricize(covariance(s, "mle").value)
-    sd = np.sqrt(np.diag(c))
-    degenerate = _degenerate_cells(sd, s.shape, on_degenerate)
-    r = _standardize(c, sd, sd, degenerate, degenerate, unit_diagonal=True)
+    (r,), (sd,) = _correlations(c[None], s.shape, on_degenerate)
     stddev = DenseTensor._wrap(sd.reshape(s.shape.dims, order="F"), s.shape)
     return CorrTensor(value=unmatricize(r, s.shape), stddev=stddev)
 

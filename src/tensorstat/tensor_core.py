@@ -280,7 +280,7 @@ class SquareTensor(_Tensor):
                 f"(expected {n} x {n})"
             )
         _require_finite(m)
-        return cls._wrap(np.reshape(m, row_shape.dims * 2, order="F"), row_shape)
+        return cls._wrap(_unmatricize_stack(m[None], row_shape)[0], row_shape)
 
     @classmethod
     def from_array(cls, array) -> "SquareTensor":
@@ -333,6 +333,28 @@ def vec(t: Union[DenseTensor, SquareTensor]) -> np.ndarray:
     return t.data
 
 
+def _reshape_each(stack: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    # Reshape every element of a stack (leading axis) in column-major order.
+    # Each element comes back laid out column-major, as a tensor stores
+    # it, with the stack axis outermost: a view when the input is already
+    # laid out so, at any stack size.
+    last = stack.ndim - 1
+    by_element = np.asfortranarray(stack.transpose(tuple(range(1, last + 1)) + (0,)))
+    reshaped = by_element.reshape(dims + (len(stack),), order="F")
+    return reshaped.transpose((len(dims),) + tuple(range(len(dims))))
+
+
+def _matricize_stack(arrays: np.ndarray, row_shape: Shape) -> np.ndarray:
+    # (B,) + dims * 2 square tensors -> (B, nstar, nstar) matricizations.
+    n = row_shape.nstar
+    return _reshape_each(arrays, (n, n))
+
+
+def _unmatricize_stack(matrices: np.ndarray, row_shape: Shape) -> np.ndarray:
+    # (B, nstar, nstar) matricizations -> (B,) + dims * 2 square tensors.
+    return _reshape_each(matrices, row_shape.dims * 2)
+
+
 def matricize(x: SquareTensor) -> np.ndarray:
     """``nstar x nstar`` matrix view of an order-2D square tensor.
 
@@ -341,13 +363,18 @@ def matricize(x: SquareTensor) -> np.ndarray:
     ``matricize(x)[r, c] == x[decode(r) + decode(c)]``.  The returned
     array is a read-only view of the tensor's storage.
     """
-    n = x.row_shape.nstar
-    return x._array.reshape((n, n), order="F")
+    return _matricize_stack(x._array[None], x.row_shape)[0]
 
 
 def unmatricize(matrix, row_shape: ShapeLike) -> SquareTensor:
     """Inverse of ``matricize``: rebuild the square tensor from its matrix."""
     return SquareTensor.from_matrix(matrix, row_shape)
+
+
+def _transpose2d_stack(arrays: np.ndarray, row_shape: Shape) -> np.ndarray:
+    # Swap the two index blocks of every element of a (B,) + dims * 2 stack.
+    d = row_shape.order
+    return np.transpose(arrays, (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1)))
 
 
 def transpose2d(x: SquareTensor) -> SquareTensor:
@@ -356,9 +383,7 @@ def transpose2d(x: SquareTensor) -> SquareTensor:
     The matricization of the result is exactly the matrix transpose of the
     matricization of the input.
     """
-    d = x.row_shape.order
-    perm = tuple(range(d, 2 * d)) + tuple(range(d))
-    return SquareTensor._wrap(np.transpose(x._array, perm), x.row_shape)
+    return SquareTensor._wrap(_transpose2d_stack(x._array[None], x.row_shape)[0], x.row_shape)
 
 
 def add(x, y):
@@ -388,6 +413,14 @@ def outer(a: DenseTensor, b: DenseTensor) -> Union[SquareTensor, DenseTensor]:
     return DenseTensor._wrap(prod, Shape(a.shape.dims + b.shape.dims))
 
 
+def _contract_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # Element-wise contraction of x's column block against y's row block
+    # over (B,) + dims * 2 stacks: each element's multi-indices are read in
+    # row-major order and the shared block is summed by one matrix product.
+    b, n = len(xs), math.isqrt(xs[0].size)
+    return np.matmul(xs.reshape(b, n, n), ys.reshape(b, n, n)).reshape(xs.shape)
+
+
 def contract_product(x: SquareTensor, y: SquareTensor) -> SquareTensor:
     """Contraction of ``x``'s column block against ``y``'s row block.
 
@@ -401,9 +434,15 @@ def contract_product(x: SquareTensor, y: SquareTensor) -> SquareTensor:
             f"cannot contract square tensors of row shapes {x.row_shape} "
             f"and {y.row_shape}"
         )
-    d = x.row_shape.order
-    res = np.tensordot(x.array, y.array, axes=(tuple(range(d, 2 * d)), tuple(range(d))))
-    return SquareTensor._wrap(res, x.row_shape)
+    return SquareTensor._wrap(_contract_stack(x._array[None], y._array[None])[0], x.row_shape)
+
+
+def _double_dot_stack(a: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum_{i,j} a[i] s[i, j] b[j] for every element of (B,) + dims, (B,) +
+    # dims * 2 and (B,) + dims stacks, multi-indices read in row-major order.
+    k, n = len(s), a[0].size
+    sb = np.matmul(s.reshape(k, n, n), b.reshape(k, n, 1))
+    return np.matmul(a.reshape(k, 1, n), sb)[:, 0, 0]
 
 
 def double_dot_quadratic(a: DenseTensor, s: SquareTensor, b: DenseTensor) -> float:
@@ -417,6 +456,4 @@ def double_dot_quadratic(a: DenseTensor, s: SquareTensor, b: DenseTensor) -> flo
         raise ShapeError(
             f"operand shapes {a.shape}, {s.row_shape}, {b.shape} must agree"
         )
-    d = s.row_shape.order
-    sb = np.tensordot(s.array, b.array, axes=(tuple(range(d, 2 * d)), tuple(range(d))))
-    return float(np.tensordot(a.array, sb, axes=d))
+    return float(_double_dot_stack(a._array[None], s._array[None], b._array[None])[0])

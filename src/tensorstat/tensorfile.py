@@ -40,10 +40,12 @@ or writes stdout.
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
 import struct
 import sys
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -67,6 +69,15 @@ __all__ = [
 MAGIC = b"TST1"
 
 AnyTensor = Union[DenseTensor, SquareTensor]
+
+# Fewest numbers one core formats or parses in a JSON sample file.  A fork,
+# pipe and reap round trip costs about 4 ms (median of 30, 3.9-4.3 ms
+# quartiles) in the CLI process, with numpy imported, on a 2-core x86-64
+# Linux host with Python 3.11; formatting takes about 1.8 us a number and
+# parsing about 1.0 us.  A chunk of 2**15 numbers is 30-60 ms of work, so
+# a file is split only where each chunk gets at least this many (at 2x2,
+# 8192 rows).
+_MIN_CHUNK_VALUES = 1 << 15
 
 
 def _read_bytes(path: str) -> bytes:
@@ -117,12 +128,12 @@ def tensor_to_obj(t: AnyTensor) -> dict:
             "kind": "square2d",
             "rowShape": list(t.row_shape.dims),
             "shape": list(t.row_shape.dims) * 2,
-            "data": [float(v) for v in t.data],
+            "data": t.data.tolist(),
         }
     return {
         "kind": "tensor",
         "shape": list(t.shape.dims),
-        "data": [float(v) for v in t.data],
+        "data": t.data.tolist(),
     }
 
 
@@ -260,18 +271,92 @@ def write_sample_set(
         "count": len(s),
         "seed": int(seed) if seed is not None else None,
     })
-    # The observation list exactly as json.dumps lays out a list of
-    # observation objects, from one dumps of the rows: every float passes
-    # through the same float.__repr__.
-    observations = "[]"
-    if len(s):
-        start = _observation_start(dims)
-        data = json.dumps(rows.tolist())
-        observations = (
-            "[" + start + data[2:-1].replace("], [", "]}, " + start) + "}]"
-        )
-    text = header[:-1] + ', "observations": ' + observations + "}\n"
-    _write_bytes(path, text.encode("utf-8"))
+    start = _observation_start(dims)
+    chunks = _split_rows(rows)
+    texts = _on_every_core(lambda chunk: _observations_text(chunk, start), chunks)
+    # A chunk whose child failed is formatted here instead.
+    texts = [_observations_text(c, start) if t is None else t for c, t in zip(chunks, texts)]
+    head = (header[:-1] + ', "observations": [').encode("utf-8")
+    _write_bytes(path, head, b", ".join(texts), b"]}\n")
+
+
+def _observations_text(rows: np.ndarray, start: str) -> bytes:
+    # Observation objects exactly as json.dumps lays out a list of them,
+    # without the list's brackets, from one dumps of the rows: every float
+    # passes through the same float.__repr__.
+    if not len(rows):
+        return b""
+    data = json.dumps(rows.tolist())
+    return (start + data[2:-2].replace("], [", "]}, " + start) + "]}").encode("utf-8")
+
+
+def _cores() -> int:
+    # Cores this process may run on; 1 where it cannot fork.
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_count(values: int) -> int:
+    return max(1, min(_cores(), values // _MIN_CHUNK_VALUES))
+
+
+def _split_rows(rows: np.ndarray) -> list:
+    # Contiguous non-empty row blocks (one for no rows), one per core that
+    # gets _MIN_CHUNK_VALUES.
+    k = max(1, min(_chunk_count(rows.size), len(rows)))
+    bounds = [len(rows) * i // k for i in range(k + 1)]
+    return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _fork(work: Callable, part):
+    # A child that sends work(part) through a pipe and ends with os._exit:
+    # status 0 when it sent bytes, 1 when work gave None or raised.
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            out = work(part)
+            if out is not None:
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(out)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _on_every_core(work: Callable, parts: list) -> list:
+    """``[work(part) for part in parts]``, with every part after the first forked.
+
+    ``work`` returns bytes, or None for a part it cannot do.  The parent
+    does the first part while the children do the rest; it then reads the
+    children's bytes in order, and a child that failed gives None.  Every
+    child is reaped, also when the parent raises.
+    """
+    pending = []
+    try:
+        for part in parts[1:]:
+            pending.append(_fork(work, part))
+        results = [work(parts[0])]
+        while pending:
+            pid, pipe = pending[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            results.append(data if status == 0 else None)
+        return results
+    finally:
+        for pid, pipe in pending:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _observation_start(dims: list) -> str:
@@ -290,12 +375,13 @@ _SAMPLE_HEADER = re.compile(
 def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
     """The block of a JSON sample file in the layout :func:`write_sample_set` emits.
 
-    Matches the header against that layout, splits the observations on
-    their exact separator, requires ``count`` of them with ``nstar - 1``
-    commas each, and parses all the data with one ``json.loads`` of a flat
-    number list.  Returns None on any mismatch, a non-number entry
-    included, so every other document, valid or not, goes to the general
-    reader and gets its result or error.
+    Matches the header against that layout, cuts the observations on their
+    exact separator into one contiguous chunk per core, and parses each
+    chunk with one ``json.loads`` of a flat number list, every chunk after
+    the first in a forked child; each observation must have ``nstar - 1``
+    commas and the file ``count`` observations.  Returns None on any
+    mismatch, a non-number entry included, so every other document, valid
+    or not, goes to the general reader and gets its result or error.
     """
     try:
         text = raw.decode("utf-8")
@@ -304,20 +390,52 @@ def _template_sample_rows(raw: bytes) -> Optional[tuple[np.ndarray, Shape]]:
     m = _SAMPLE_HEADER.match(text)
     if m is None or not text.endswith("]}\n"):
         return None
-    body = text[m.end():-3]
     try:
         shape = _require_shape([int(n) for n in m["shape"].split(", ")])
-        count, nstar = int(m["count"]), shape.nstar
-        if count == 0:
-            return (np.empty((0, nstar)), shape) if not body else None
-        start = _observation_start(list(shape.dims))
-        if not (body.startswith(start) and body.endswith("]}")):
-            return None
-        chunks = body[len(start):-2].split("]}, " + start)
-        if len(chunks) != count or any(c.count(",") != nstar - 1 for c in chunks):
-            return None
-        flat = _json_numbers(json.loads("[" + ", ".join(chunks) + "]"))
-        return flat.reshape(count, nstar), shape
+    except (ValueError, RecursionError):
+        return None
+    count, nstar = int(m["count"]), shape.nstar
+    if count == 0:
+        return (np.empty((0, nstar)), shape) if len(text) == m.end() + 3 else None
+    start = _observation_start(list(shape.dims))
+    lo, hi = m.end() + len(start), len(text) - len("]}]}\n")
+    if not (lo <= hi and text.startswith(start, m.end()) and text.endswith("]}]}\n")):
+        return None
+    separator = "]}, " + start
+    spans = _split_text(text, lo, hi, separator, _chunk_count(count * nstar))
+    blocks = _on_every_core(
+        lambda span: _parse_observations(text[span[0]:span[1]], separator, nstar), spans
+    )
+    if any(b is None for b in blocks):
+        return None
+    flat = np.frombuffer(b"".join(blocks), dtype=np.float64)
+    if flat.size != count * nstar:
+        return None
+    return flat.reshape(count, nstar), shape
+
+
+def _split_text(text: str, lo: int, hi: int, separator: str, k: int) -> list:
+    # Up to k contiguous (start, end) spans of text[lo:hi], cut at the
+    # first separator after each k-th of the way, the separators left out.
+    spans, a = [], lo
+    for i in range(1, k):
+        cut = text.find(separator, max(a, lo + (hi - lo) * i // k), hi)
+        if cut < 0:
+            break
+        spans.append((a, cut))
+        a = cut + len(separator)
+    spans.append((a, hi))
+    return spans
+
+
+def _parse_observations(chunk: str, separator: str, nstar: int) -> Optional[bytes]:
+    # The float64 bytes of separator-joined observation data lists, each
+    # with nstar - 1 commas; None on any mismatch.
+    observations = chunk.split(separator)
+    if any(c.count(",") != nstar - 1 for c in observations):
+        return None
+    try:
+        return _json_numbers(json.loads("[" + ", ".join(observations) + "]")).tobytes()
     except (ValueError, RecursionError):
         return None
 

@@ -9,7 +9,10 @@ deviation against a fixed tolerance; the report is deterministic given the
 configuration.  A NaN deviation, from any instance of a check, fails it.
 
 Each check draws from its own seed substream, so results do not depend on
-the order checks run in.
+the order checks run in.  A check is a draw of one instance's inputs and an
+evaluation over a stack of instances: ``_run_check`` draws the instances in
+order, in batches bounded in bytes, and evaluates each batch in one call
+through the stacked forms of the library's own routines.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from .distributions import (
 )
 from .linalg import KroneckerFactors, kronecker_assemble
 from .stats import (
-    SampleSet,
-    correlation,
+    _correlations,
+    _cross_covariances,
+    _denominator,
+    _vec_covariances,
     covariance,
-    covariance_of_vec,
     cross_covariance,
     mean_tensor,
 )
@@ -48,13 +52,13 @@ from .tensor_core import (
     DenseTensor,
     Shape,
     SquareTensor,
-    contract_product,
-    double_dot_quadratic,
+    _contract_stack,
+    _double_dot_stack,
+    _matricize_stack,
+    _transpose2d_stack,
+    _unmatricize_stack,
     matricize,
-    outer,
-    transpose2d,
     unmatricize,
-    vec,
 )
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification", "CHECK_NAMES"]
@@ -62,6 +66,18 @@ __all__ = ["CheckResult", "VerifyReport", "run_verification", "CHECK_NAMES"]
 # Instances used by the algebraic and identity suites; Monte-Carlo checks
 # use the configured sample size instead.
 INSTANCES = 200
+
+# Bytes of instances evaluated as one stack (see _instance_bytes).  At 2x2
+# every check evaluates all its instances at once; a 16x16 square tensor
+# takes 512 KiB, so large shapes hold a few instances at a time, never all
+# 200.
+BATCH_BYTES = 4 << 20
+
+# Probe points per kronecker-equivalence instance, draws per repeat in
+# sampling-determinism, and density-normalization's grid points per axis.
+PROBES = 10
+REPEAT_DRAWS = 64
+GRID = 201
 
 
 @dataclass(frozen=True)
@@ -111,26 +127,22 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# random inputs
+# random inputs: a square tensor is drawn as its matricization, a dense
+# tensor as its multi-index array, a sample set as its N x nstar rows
 
 
-def _random_dense(rng: np.random.Generator, shape: Shape) -> DenseTensor:
-    return DenseTensor._wrap(rng.standard_normal(shape.dims), shape)
-
-
-def _random_square(rng: np.random.Generator, shape: Shape) -> SquareTensor:
+def _random_matrix(rng: np.random.Generator, shape: Shape) -> np.ndarray:
     n = shape.nstar
-    return unmatricize(rng.standard_normal((n, n)), shape)
+    return rng.standard_normal((n, n))
 
 
-def _random_well_conditioned(rng: np.random.Generator, shape: Shape) -> SquareTensor:
-    # Singular values in [0.5, 2] keep every determinant identity far from
+def _well_conditioned(g1: np.ndarray, g2: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    # Q1 diag(s) Q2 for stacks of _draw_well_conditioned's draws.  Singular
+    # values in [0.5, 2] keep every determinant identity far from
     # cancellation on the 1e-9 tolerance scale.
-    n = shape.nstar
-    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    svals = rng.uniform(0.5, 2.0, size=n)
-    return unmatricize(q1 @ (svals[:, None] * q2), shape)
+    q1, _ = np.linalg.qr(g1)
+    q2, _ = np.linalg.qr(g2)
+    return np.matmul(q1, svals[:, :, None] * q2)
 
 
 def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> np.ndarray:
@@ -139,21 +151,13 @@ def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> 
     return 0.5 * (m + m.T)
 
 
-def _random_spd(rng: np.random.Generator, shape: Shape) -> SquareTensor:
-    return unmatricize(_random_spd_matrix(rng, shape.nstar), shape)
+def _random_rows(rng: np.random.Generator, shape: Shape, n: int) -> np.ndarray:
+    # The same draws, in the same order, as n multi-index arrays, as rows.
+    return _vecs(rng.standard_normal((n,) + shape.dims), shape)
 
 
-def _random_sample_set(rng: np.random.Generator, shape: Shape, n: int) -> SampleSet:
-    # The same draws, in the same order, as n calls of _random_dense; each
-    # observation's axes are reversed so a C-order row is its vec.
-    z = rng.standard_normal((n,) + shape.dims)
-    rows = z.transpose((0,) + tuple(range(shape.order, 0, -1))).reshape(n, shape.nstar)
-    return SampleSet._wrap(rows, shape)
-
-
-def _random_near(rng: np.random.Generator, loc: DenseTensor) -> DenseTensor:
-    # A point one standard normal draw per cell away from ``loc``.
-    return DenseTensor._wrap(loc.array + rng.standard_normal(loc.shape.dims), loc.shape)
+def _random_factors(rng: np.random.Generator, shape: Shape) -> tuple[np.ndarray, ...]:
+    return tuple(_random_spd_matrix(rng, nk) for nk in shape.dims)
 
 
 def _pattern_params(shape: Shape) -> TensorNormalParams:
@@ -165,250 +169,383 @@ def _pattern_params(shape: Shape) -> TensorNormalParams:
     return TensorNormalParams(location, unmatricize(m, shape))
 
 
-def _rel(diff: float, ref: float) -> float:
-    # A NaN ref stays NaN: max keeps its first argument when a compare fails.
-    return diff / max(abs(ref), 1e-300)
+# ---------------------------------------------------------------------------
+# helpers over stacks: the leading axis is the instance
+
+
+def _vecs(arrays: np.ndarray, shape: Shape) -> np.ndarray:
+    # (B,) + dims multi-index arrays -> (B, nstar) column-major vecs: each
+    # array's axes are reversed so a C-order row is its vec.
+    return arrays.transpose((0,) + tuple(range(shape.order, 0, -1))).reshape(len(arrays), -1)
+
+
+def _worst(a: np.ndarray) -> np.ndarray:
+    # Largest entry of each instance; NaN if any entry is NaN.
+    return a.reshape(len(a), -1).max(axis=1)
+
+
+def _rel(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    # A NaN ref stays NaN: np.maximum propagates it.
+    return diff / np.maximum(np.abs(ref), 1e-300)
+
+
+def _quadratic(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # v_b @ m_b @ v_b for (B, nstar) vecs and (B or 1, nstar, nstar) matrices.
+    return np.matmul(np.matmul(v[:, None, :], m), v[:, :, None])[:, 0, 0]
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each instance, as np.linalg.norm takes it of one.
+    flat = m.reshape(len(m), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _one_by_one(evaluate_one: Callable) -> Callable:
+    # The evaluation of a check whose library calls take one instance at a
+    # time (params objects, samplers): a loop over the stack.
+    def evaluate(shape, n, *stacks):
+        return np.array([evaluate_one(shape, n, *inputs) for inputs in zip(*stacks)], dtype=float)
+
+    return evaluate
+
+
+def _draw_square(rng, shape, n):
+    return (_random_matrix(rng, shape),)
+
+
+def _draw_two_squares(rng, shape, n):
+    return _random_matrix(rng, shape), _random_matrix(rng, shape)
+
+
+def _draw_well_conditioned(rng, shape, n):
+    # The draws behind one well-conditioned matrix: two Gaussian matrices
+    # for the orthogonal factors and the singular values.
+    m = shape.nstar
+    return rng.standard_normal((m, m)), rng.standard_normal((m, m)), rng.uniform(0.5, 2.0, size=m)
+
+
+def _draw_two_well_conditioned(rng, shape, n):
+    return _draw_well_conditioned(rng, shape, n) + _draw_well_conditioned(rng, shape, n)
+
+
+def _draw_sample_set(rng, shape, n):
+    return (_random_rows(rng, shape, int(rng.integers(3, 51))),)
+
+
+def _draw_two_sample_sets(rng, shape, n):
+    count = int(rng.integers(3, 51))
+    return _random_rows(rng, shape, count), _random_rows(rng, shape, count)
+
+
+def _draw_seed(rng, shape, n):
+    return (int(rng.integers(2**63)),)
+
+
+def _draw_law_and_point(rng, shape, n):
+    # A location, a positive definite scale and a point one standard
+    # normal draw per cell away from the location.
+    loc = rng.standard_normal(shape.dims)
+    scale = _random_spd_matrix(rng, shape.nstar)
+    return loc, scale, loc + rng.standard_normal(shape.dims)
 
 
 # ---------------------------------------------------------------------------
-# checks: each takes (rng, shape, n), runs one instance and returns its
-# (deviation, samples); the table below registers it with its tolerance
-# and instance count.
+# checks: each is a draw of one instance's inputs and an evaluation of a
+# stack of instances that returns one deviation per instance; the table
+# below registers the pair with its tolerance, instance count and what its
+# n= column counts.
 
 
-def _check_mat_roundtrip(rng, shape, n):
-    x = _random_square(rng, shape)
-    return float(np.abs(unmatricize(matricize(x), shape).array - x.array).max()), 1
+def _mat_roundtrip(shape, n, x):
+    t = _unmatricize_stack(x, shape)
+    return _worst(np.abs(_unmatricize_stack(_matricize_stack(t, shape), shape) - t))
 
 
-def _check_mat_linearity(rng, shape, n):
-    x = _random_square(rng, shape)
-    y = _random_square(rng, shape)
-    alpha = float(rng.uniform(-2.0, 2.0))
-    lhs = matricize(alpha * x + y)
-    rhs = alpha * matricize(x) + matricize(y)
-    return float(np.abs(lhs - rhs).max()), 1
+def _draw_mat_linearity(rng, shape, n):
+    return _random_matrix(rng, shape), _random_matrix(rng, shape), float(rng.uniform(-2.0, 2.0))
 
 
-def _check_mat_transpose(rng, shape, n):
-    x = _random_square(rng, shape)
-    return float(np.abs(matricize(transpose2d(x)) - matricize(x).T).max()), 1
+def _mat_linearity(shape, n, x, y, alpha):
+    tx, ty = _unmatricize_stack(x, shape), _unmatricize_stack(y, shape)
+    lhs = _matricize_stack(alpha.reshape((-1,) + (1,) * (tx.ndim - 1)) * tx + ty, shape)
+    rhs = alpha[:, None, None] * _matricize_stack(tx, shape) + _matricize_stack(ty, shape)
+    return _worst(np.abs(lhs - rhs))
 
 
-def _check_mat_product(rng, shape, n):
-    x = _random_square(rng, shape)
-    y = _random_square(rng, shape)
-    ref = matricize(x) @ matricize(y)
-    got = matricize(contract_product(x, y))
-    return _rel(float(np.linalg.norm(got - ref)), float(np.linalg.norm(ref))), 1
+def _mat_transpose(shape, n, x):
+    t = _unmatricize_stack(x, shape)
+    got = _matricize_stack(_transpose2d_stack(t, shape), shape)
+    return _worst(np.abs(got - _matricize_stack(t, shape).transpose(0, 2, 1)))
 
 
-def _check_det_identity(rng, shape, n):
-    return abs(linalg.det(SquareTensor.identity(shape)) - 1.0), 1
+def _mat_product(shape, n, x, y):
+    tx, ty = _unmatricize_stack(x, shape), _unmatricize_stack(y, shape)
+    ref = np.matmul(_matricize_stack(tx, shape), _matricize_stack(ty, shape))
+    got = _matricize_stack(_contract_stack(tx, ty), shape)
+    return _rel(_norms(got - ref), _norms(ref))
 
 
-def _check_det_zero(rng, shape, n):
-    return abs(linalg.det(SquareTensor.zeros(shape))), 1
+def _draw_identity(rng, shape, n):
+    return (np.eye(shape.nstar),)
 
 
-def _check_det_scale(rng, shape, n):
-    x = _random_well_conditioned(rng, shape)
-    lam = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
-    ref = lam**shape.nstar * linalg.det(x)
-    return _rel(abs(linalg.det(lam * x) - ref), ref), 1
+def _draw_zeros(rng, shape, n):
+    return (np.zeros((shape.nstar, shape.nstar)),)
 
 
-def _check_det_transpose(rng, shape, n):
-    x = _random_well_conditioned(rng, shape)
-    ref = linalg.det(x)
-    return _rel(abs(linalg.det(transpose2d(x)) - ref), ref), 1
+def _det_identity(shape, n, x):
+    return np.abs(linalg._dets(x) - 1.0)
 
 
-def _check_det_product(rng, shape, n):
-    x = _random_well_conditioned(rng, shape)
-    y = _random_well_conditioned(rng, shape)
-    ref = linalg.det(x) * linalg.det(y)
-    return _rel(abs(linalg.det(contract_product(x, y)) - ref), ref), 1
+def _det_zero(shape, n, x):
+    return np.abs(linalg._dets(x))
 
 
-def _check_det_inverse(rng, shape, n):
-    x = _random_well_conditioned(rng, shape)
-    ref = 1.0 / linalg.det(x)
-    return _rel(abs(linalg.det(linalg.inverse(x)) - ref), ref), 1
+def _draw_det_scale(rng, shape, n):
+    x = _draw_well_conditioned(rng, shape, n)
+    return x + (float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),)
 
 
-def _check_inverse_contract(rng, shape, n):
-    x = _random_spd(rng, shape)
-    inv = linalg.inverse(x)
-    eye = SquareTensor.identity(shape).array
-    sides = (contract_product(x, inv).array, contract_product(inv, x).array)
-    return float(np.abs(np.stack(sides) - eye).max()), 1
+def _det_scale(shape, n, g1, g2, svals, lam):
+    # det(lam X) = lam^nstar det(X), stated on signs and log |det| so that
+    # it holds where the determinants leave float64.  The deviation is the
+    # relative error of det(lam X), read from the log difference d as
+    # |e^d - 1| when the signs agree and e^d + 1 when they do not.
+    x = _well_conditioned(g1, g2, svals)
+    sign, log_abs = linalg._slogdets(x)
+    got_sign, got_log_abs = linalg._slogdets(lam[:, None, None] * x)
+    ref_sign = sign * np.sign(lam) ** shape.nstar
+    rel = np.expm1(got_log_abs - (shape.nstar * np.log(np.abs(lam)) + log_abs))
+    return np.where(got_sign == ref_sign, np.abs(rel), rel + 2.0)
 
 
-def _check_kron_mode_scaling(rng, shape, n):
+def _det_transpose(shape, n, *draws):
+    x = _well_conditioned(*draws)
+    ref = linalg._dets(x)
+    transposed = _transpose2d_stack(_unmatricize_stack(x, shape), shape)
+    got = linalg._dets(_matricize_stack(transposed, shape))
+    return _rel(np.abs(got - ref), ref)
+
+
+def _det_product(shape, n, *draws):
+    x, y = _well_conditioned(*draws[:3]), _well_conditioned(*draws[3:])
+    ref = linalg._dets(x) * linalg._dets(y)
+    product = _contract_stack(_unmatricize_stack(x, shape), _unmatricize_stack(y, shape))
+    return _rel(np.abs(linalg._dets(_matricize_stack(product, shape)) - ref), ref)
+
+
+def _det_inverse(shape, n, *draws):
+    x = _well_conditioned(*draws)
+    ref = 1.0 / linalg._dets(x)
+    return _rel(np.abs(linalg._dets(linalg._inverses(x)) - ref), ref)
+
+
+def _draw_spd(rng, shape, n):
+    return (_random_spd_matrix(rng, shape.nstar),)
+
+
+def _inverse_contract(shape, n, x):
+    t, inv = _unmatricize_stack(x, shape), _unmatricize_stack(linalg._inverses(x), shape)
+    eye = _unmatricize_stack(np.eye(shape.nstar)[None], shape)
+    return np.maximum(
+        _worst(np.abs(_contract_stack(t, inv) - eye)),
+        _worst(np.abs(_contract_stack(inv, t) - eye)),
+    )
+
+
+def _draw_dense(rng, shape, n):
+    return (rng.standard_normal(shape.dims),)
+
+
+def _kron_mode_scaling(shape, n, a):
     # Pins the factor-order convention: the factor stored for mode 1 must
     # weight entries by their mode-1 index in the quadratic form.
     weights = np.arange(1.0, shape.dims[0] + 1.0)
     factors = (np.diag(weights),) + tuple(np.eye(nk) for nk in shape.dims[1:])
     assembled = kronecker_assemble(KroneckerFactors(factors))
-    a = _random_dense(rng, shape)
-    v = vec(a)
-    got = float(v @ assembled @ v)
-    ref = float(np.sum(weights.reshape((-1,) + (1,) * (shape.order - 1)) * a.array**2))
-    return _rel(abs(got - ref), ref), 1
+    v = _vecs(a, shape)
+    got = _quadratic(v, assembled[None])
+    ref = np.sum(np.resize(weights, shape.nstar) * v**2, axis=1)
+    return _rel(np.abs(got - ref), ref)
 
 
-def _check_kron_quadratic_form(rng, shape, n):
-    factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
-    assembled = kronecker_assemble(factors)
-    a = _random_dense(rng, shape)
-    v = vec(a)
-    ref = float(v @ assembled @ v)
-    got = double_dot_quadratic(a, unmatricize(assembled, shape), a)
-    return _rel(abs(got - ref), ref), 1
+def _draw_kron_quadratic_form(rng, shape, n):
+    return _random_factors(rng, shape) + (rng.standard_normal(shape.dims),)
 
 
-def _check_kron_equivalence(rng, shape, n):
-    factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
-    loc = _random_dense(rng, shape)
-    dense = TensorNormalParams(loc, unmatricize(kronecker_assemble(factors), shape))
-    structured = TensorNormalParams(loc, factors)
+def _kron_quadratic_form(shape, n, *stacks):
+    *factors, a = stacks
+    assembled = linalg._kron_stack(factors)
+    ref = _quadratic(_vecs(a, shape), assembled)
+    got = _double_dot_stack(a, _unmatricize_stack(assembled, shape), a)
+    return _rel(np.abs(got - ref), ref)
+
+
+def _draw_kron_equivalence(rng, shape, n):
+    return _random_factors(rng, shape) + (
+        rng.standard_normal(shape.dims),
+        int(rng.integers(2**63)),
+    )
+
+
+@_one_by_one
+def _kron_equivalence(shape, n, *inputs):
+    *arrays, loc, seed = inputs
+    factors = KroneckerFactors(tuple(arrays))
+    location = DenseTensor._wrap(loc, shape)
+    dense = TensorNormalParams(location, unmatricize(kronecker_assemble(factors), shape))
+    structured = TensorNormalParams(location, factors)
     report = kronecker_equivalence_check(
-        dense, structured, probes=10, seed=RngSeed(int(rng.integers(2**63)), 0)
+        dense, structured, probes=PROBES, seed=RngSeed(int(seed), 0)
     )
-    return report.max_abs_deviation, report.probes
+    return report.max_abs_deviation
 
 
-def _check_cov_mat_consistency(rng, shape, n):
-    s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    return float(np.abs(matricize(covariance(s).value) - covariance_of_vec(s)).max()), 1
+def _covariances(rows: np.ndarray, shape: Shape, normalization: str = "unbiased") -> np.ndarray:
+    denom = _denominator(rows.shape[1], normalization)
+    return _cross_covariances(rows, rows, shape, shape, denom, True)
 
 
-def _check_cov_moment_identity(rng, shape, n):
-    s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    mean = mean_tensor(s)
-    acc = np.zeros(shape.dims * 2, order="F")
-    for t in s:
-        acc += np.multiply.outer(t.array, t.array)
-    ref = acc / len(s) - np.asarray(outer(mean, mean).array)
-    return float(np.abs(covariance(s, "mle").value.array - ref).max()), 1
+def _cross(rx: np.ndarray, ry: np.ndarray, shape: Shape) -> np.ndarray:
+    denom = _denominator(rx.shape[1], "unbiased")
+    return _cross_covariances(rx, ry, shape, shape, denom, False)
 
 
-def _check_cov_sum_expansion(rng, shape, n):
-    count = int(rng.integers(3, 51))
-    sx = _random_sample_set(rng, shape, count)
-    sy = _random_sample_set(rng, shape, count)
-    sz = SampleSet._wrap(sx.to_matrix() + sy.to_matrix(), shape)
-    total = covariance(sz).value.array
+def _cov_mat_consistency(shape, n, rows):
+    got = _matricize_stack(_covariances(rows, shape), shape)
+    ref = _vec_covariances(rows, _denominator(rows.shape[1], "unbiased"))
+    return _worst(np.abs(got - ref))
+
+
+def _cov_moment_identity(shape, n, rows):
+    # The MLE covariance against the second moment less the squared mean,
+    # accumulated one observation at a time.
+    count = rows.shape[1]
+    mean = rows.mean(axis=1)
+    acc = np.zeros((len(rows), shape.nstar, shape.nstar))
+    for k in range(count):
+        acc += rows[:, k, :, None] * rows[:, k, None, :]
+    ref = acc / count - mean[:, :, None] * mean[:, None, :]
+    got = _matricize_stack(_covariances(rows, shape, "mle"), shape)
+    return _worst(np.abs(got - ref))
+
+
+def _cov_sum_expansion(shape, n, x, y):
+    total = _covariances(x + y, shape)
     parts = (
-        covariance(sx).value.array
-        + cross_covariance(sx, sy).value.array
-        + cross_covariance(sy, sx).value.array
-        + covariance(sy).value.array
+        _covariances(x, shape) + _cross(x, y, shape) + _cross(y, x, shape)
+        + _covariances(y, shape)
     )
-    return float(np.abs(total - parts).max()), 1
+    return _worst(np.abs(total - parts))
 
 
-def _check_cov_index_swap(rng, shape, n):
-    count = int(rng.integers(3, 51))
-    sx = _random_sample_set(rng, shape, count)
-    sy = _random_sample_set(rng, shape, count)
-    kxy = matricize(cross_covariance(sx, sy).value)
-    kyx = matricize(cross_covariance(sy, sx).value)
-    return float(np.abs(kxy - kyx.T).max()), 1
+def _cov_index_swap(shape, n, x, y):
+    kxy = _matricize_stack(_cross(x, y, shape), shape)
+    kyx = _matricize_stack(_cross(y, x, shape), shape)
+    return _worst(np.abs(kxy - kyx.transpose(0, 2, 1)))
 
 
-def _check_corr_unit_diagonal(rng, shape, n):
-    s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    return float(np.abs(np.diag(matricize(correlation(s).value)) - 1.0).max()), 1
+def _correlation_matrices(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    c = _matricize_stack(_covariances(rows, shape, "mle"), shape)
+    return _correlations(c, shape, "error")[0]
 
 
-def _check_corr_bounds(rng, shape, n):
-    s = _random_sample_set(rng, shape, int(rng.integers(3, 51)))
-    r = matricize(correlation(s).value)
-    return float(np.maximum(np.abs(r).max() - 1.0, 0.0)), 1
+def _corr_unit_diagonal(shape, n, rows):
+    r = _correlation_matrices(rows, shape)
+    return _worst(np.abs(np.diagonal(r, axis1=1, axis2=2) - 1.0))
 
 
-def _check_independence(rng, shape, n):
-    base = int(rng.integers(2**63))
+def _corr_bounds(shape, n, rows):
+    return np.maximum(_worst(np.abs(_correlation_matrices(rows, shape))) - 1.0, 0.0)
+
+
+@_one_by_one
+def _independence(shape, n, base):
     p = TensorNormalParams(DenseTensor.zeros(shape), SquareTensor.identity(shape))
-    sx = normal_sample(p, RngSeed(base, 0), n)
-    sy = normal_sample(p, RngSeed(base, 1), n)
-    k = matricize(cross_covariance(sx, sy).value)
-    return float(np.abs(k).max()), n
+    sx = normal_sample(p, RngSeed(int(base), 0), n)
+    sy = normal_sample(p, RngSeed(int(base), 1), n)
+    return float(np.abs(matricize(cross_covariance(sx, sy).value)).max())
 
 
-def _check_density_equivalence(rng, shape, n):
-    loc = _random_dense(rng, shape)
-    p = TensorNormalParams(loc, _random_spd(rng, shape))
-    x = _random_near(rng, loc)
-    return abs(normal_log_density(p, x) - normal_log_density_vec_oracle(p, x)), 1
+@_one_by_one
+def _density_equivalence(shape, n, loc, scale, x):
+    p = TensorNormalParams(DenseTensor._wrap(loc, shape), unmatricize(scale, shape))
+    point = DenseTensor._wrap(x, shape)
+    return abs(normal_log_density(p, point) - normal_log_density_vec_oracle(p, point))
 
 
-def _check_density_normalization(rng, shape, n):
+def _draw_grid(rng, shape, n):
     # Fixed two-cell grid quadrature regardless of the configured shape:
-    # the property is about the density normalizer, not the shape.
+    # the property is about the density normalizer, not the shape.  The
+    # trapezoid rule converges geometrically on a smooth, fast-decaying
+    # integrand: step 0.08 gives the same bits as step 0.01 (a test checks).
+    return (np.linspace(-8.0, 8.0, GRID),)
+
+
+@_one_by_one
+def _density_normalization(shape, n, axis):
     grid_shape = Shape((2,))
     p = TensorNormalParams(
         DenseTensor.zeros(grid_shape),
         unmatricize(np.array([[1.0, 0.3], [0.3, 1.0]]), grid_shape),
     )
-    # The trapezoid rule converges geometrically on a smooth, fast-decaying
-    # integrand: step 0.08 gives the same bits as step 0.01 (a test checks).
-    axis = np.linspace(-8.0, 8.0, 201)
     # (x_i, y_j) rows, x slowest.
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     dens = np.exp(normal_log_density_batch(p, pts)).reshape(axis.size, axis.size)
     integral = float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis))
-    return abs(integral - 1.0), axis.size**2
+    return abs(integral - 1.0)
 
 
-def _check_moment_recovery_mean(rng, shape, n):
+@_one_by_one
+def _moment_recovery_mean(shape, n, seed):
     p = _pattern_params(shape)
-    s = normal_sample(p, RngSeed(int(rng.integers(2**63)), 0), n)
-    dev = np.abs(mean_tensor(s).array - p.location.array)
-    return float(dev.max()), n
+    s = normal_sample(p, RngSeed(int(seed), 0), n)
+    return float(np.abs(mean_tensor(s).array - p.location.array).max())
 
 
-def _check_moment_recovery_cov(rng, shape, n):
+@_one_by_one
+def _moment_recovery_cov(shape, n, seed):
     p = _pattern_params(shape)
-    s = normal_sample(p, RngSeed(int(rng.integers(2**63)), 0), n)
-    dev = np.abs(covariance(s).value.array - p.scale_tensor.array)
-    return float(dev.max()), n
+    s = normal_sample(p, RngSeed(int(seed), 0), n)
+    return float(np.abs(covariance(s).value.array - p.scale_tensor.array).max())
 
 
-def _check_elliptical_normal(rng, shape, n):
+def _elliptical_normal(shape, n, loc, scale, x):
     # The kernel route, normal kernel, against the paper's tensor form of
     # the Gaussian density: the double-dot quadratic form of the deviation
     # with the inverse scale, and the LU log-determinant of the scale.
-    loc = _random_dense(rng, shape)
-    scale = _random_spd(rng, shape)
-    pe = EllipticalParams(loc, scale, NormalKernel())
-    x = _random_near(rng, loc)
     d = x - loc
-    q = double_dot_quadratic(d, linalg.inverse(scale), d)
-    _sign, log_det = linalg.slogdet(scale)
+    q = _double_dot_stack(d, _unmatricize_stack(linalg._inverses(scale), shape), d)
+    _sign, log_det = linalg._slogdets(scale)
     ref = -0.5 * (shape.nstar * LN_2PI + log_det + q)
-    return abs(elliptical_log_density(pe, x) - ref), 1
+    got = [
+        elliptical_log_density(
+            EllipticalParams(DenseTensor._wrap(m, shape), unmatricize(c, shape), NormalKernel()),
+            DenseTensor._wrap(point, shape),
+        )
+        for m, c, point in zip(loc, scale, x)
+    ]
+    return np.abs(np.array(got) - ref)
 
 
-def _check_elliptical_student_cov(rng, shape, n):
-    count = 2 * n
+@_one_by_one
+def _elliptical_student_cov(shape, n, seed):
     kernel = StudentKernel(nu=5.0)
-    p = EllipticalParams(
-        DenseTensor.zeros(shape), SquareTensor.identity(shape), kernel
-    )
-    s = elliptical_sample(p, RngSeed(int(rng.integers(2**63)), 0), count)
-    proportionality = kernel.covariance_scale(shape.nstar)
-    expected = proportionality * SquareTensor.identity(shape).array
-    dev = np.abs(covariance(s).value.array - expected)
-    return float(dev.max()), count
+    p = EllipticalParams(DenseTensor.zeros(shape), SquareTensor.identity(shape), kernel)
+    s = elliptical_sample(p, RngSeed(int(seed), 0), 2 * n)
+    expected = kernel.covariance_scale(shape.nstar) * SquareTensor.identity(shape).array
+    return float(np.abs(covariance(s).value.array - expected).max())
 
 
-def _check_sampling_determinism(rng, shape, n):
+def _draw_sampling_determinism(rng, shape, n):
+    return (int(rng.integers(2**63)),) + _random_factors(rng, shape)
+
+
+@_one_by_one
+def _sampling_determinism(shape, n, seed, *arrays):
     p = _pattern_params(shape)
-    seed = RngSeed(int(rng.integers(2**63)), 3)
-    factors = KroneckerFactors(tuple(_random_spd_matrix(rng, nk) for nk in shape.dims))
+    seed = RngSeed(int(seed), 3)
+    factors = KroneckerFactors(tuple(arrays))
     student = StudentKernel(nu=5.0)
     # Dense scales sample through the dense Cholesky factor, Kronecker
     # scales one mode at a time; both must repeat bit for bit.
@@ -419,56 +556,120 @@ def _check_sampling_determinism(rng, shape, n):
         (elliptical_sample, EllipticalParams(p.location, factors, student)),
     )
     for draw, params in cases:
-        a = draw(params, seed, 64).to_matrix()
-        b = draw(params, seed, 64).to_matrix()
+        a = draw(params, seed, REPEAT_DRAWS).to_matrix()
+        b = draw(params, seed, REPEAT_DRAWS).to_matrix()
         if not np.array_equal(a, b):
-            return float(np.abs(a - b).max()), 64
-    return 0.0, 64
+            return float(np.abs(a - b).max())
+    return 0.0
 
 
-# name, tolerance, instances, check; the position in this table picks the
-# check's seed substream
-_CHECKS: tuple[tuple[str, float, int, Callable], ...] = (
-    ("mat-roundtrip", 0.0, INSTANCES, _check_mat_roundtrip),
-    ("mat-linearity", 0.0, INSTANCES, _check_mat_linearity),
-    ("mat-transpose", 0.0, INSTANCES, _check_mat_transpose),
-    ("mat-product", 1e-12, INSTANCES, _check_mat_product),
-    ("det-identity", 0.0, 1, _check_det_identity),
-    ("det-zero", 0.0, 1, _check_det_zero),
-    ("det-scale", 1e-9, INSTANCES, _check_det_scale),
-    ("det-transpose", 1e-10, INSTANCES, _check_det_transpose),
-    ("det-product", 1e-9, INSTANCES, _check_det_product),
-    ("det-inverse", 1e-9, INSTANCES, _check_det_inverse),
-    ("inverse-contract", 1e-10, INSTANCES, _check_inverse_contract),
-    ("kronecker-mode-scaling", 1e-12, INSTANCES, _check_kron_mode_scaling),
-    ("kronecker-quadratic-form", 1e-12, INSTANCES, _check_kron_quadratic_form),
-    ("kronecker-equivalence", 1e-10, 10, _check_kron_equivalence),
-    ("cov-mat-consistency", 1e-12, INSTANCES, _check_cov_mat_consistency),
-    ("cov-moment-identity", 1e-12, INSTANCES, _check_cov_moment_identity),
-    ("cov-sum-expansion", 1e-12, INSTANCES, _check_cov_sum_expansion),
-    ("cov-index-swap", 0.0, INSTANCES, _check_cov_index_swap),
-    ("corr-unit-diagonal", 0.0, INSTANCES, _check_corr_unit_diagonal),
-    ("corr-bounds", 1e-12, INSTANCES, _check_corr_bounds),
-    ("independence-zero-crosscov", 0.02, 1, _check_independence),
-    ("density-equivalence", 1e-10, INSTANCES, _check_density_equivalence),
-    ("density-normalization", 1e-3, 1, _check_density_normalization),
-    ("moment-recovery-mean", 0.02, 1, _check_moment_recovery_mean),
-    ("moment-recovery-cov", 0.05, 1, _check_moment_recovery_cov),
-    ("elliptical-normal-consistency", 1e-12, INSTANCES, _check_elliptical_normal),
-    ("elliptical-student-covariance", 0.1, 1, _check_elliptical_student_cov),
-    ("sampling-determinism", 0.0, 1, _check_sampling_determinism),
+@dataclass(frozen=True)
+class _Check:
+    """One check: its tolerance, how to draw an instance and how to evaluate a stack.
+
+    ``draw(rng, shape, n)`` returns one instance's inputs, a tuple of
+    arrays and numbers, and is the only part that consumes the check's
+    random stream.  ``evaluate(shape, n, *stacks)`` takes the inputs of
+    several instances, each stacked along a new leading axis, and returns
+    one deviation per instance.  ``counts`` names what the ``n=`` column
+    counts; ``per_instance(n)`` is how many of them one instance adds.
+    """
+
+    name: str
+    tolerance: float
+    instances: int
+    draw: Callable
+    evaluate: Callable
+    counts: str
+    per_instance: Callable[[int], int]
+
+
+def _identity(name, tolerance, draw, evaluate, instances=INSTANCES):
+    return _Check(name, tolerance, instances, draw, evaluate, "instances", lambda n: 1)
+
+
+# The position in this table picks the check's seed substream.
+_CHECKS: tuple[_Check, ...] = (
+    _identity("mat-roundtrip", 0.0, _draw_square, _mat_roundtrip),
+    _identity("mat-linearity", 0.0, _draw_mat_linearity, _mat_linearity),
+    _identity("mat-transpose", 0.0, _draw_square, _mat_transpose),
+    _identity("mat-product", 1e-12, _draw_two_squares, _mat_product),
+    _identity("det-identity", 0.0, _draw_identity, _det_identity, instances=1),
+    _identity("det-zero", 0.0, _draw_zeros, _det_zero, instances=1),
+    _identity("det-scale", 1e-9, _draw_det_scale, _det_scale),
+    _identity("det-transpose", 1e-10, _draw_well_conditioned, _det_transpose),
+    _identity("det-product", 1e-9, _draw_two_well_conditioned, _det_product),
+    _identity("det-inverse", 1e-9, _draw_well_conditioned, _det_inverse),
+    _identity("inverse-contract", 1e-10, _draw_spd, _inverse_contract),
+    _identity("kronecker-mode-scaling", 1e-12, _draw_dense, _kron_mode_scaling),
+    _identity("kronecker-quadratic-form", 1e-12, _draw_kron_quadratic_form, _kron_quadratic_form),
+    _Check("kronecker-equivalence", 1e-10, 10, _draw_kron_equivalence, _kron_equivalence,
+           "probe points", lambda n: PROBES),
+    _identity("cov-mat-consistency", 1e-12, _draw_sample_set, _cov_mat_consistency),
+    _identity("cov-moment-identity", 1e-12, _draw_sample_set, _cov_moment_identity),
+    _identity("cov-sum-expansion", 1e-12, _draw_two_sample_sets, _cov_sum_expansion),
+    _identity("cov-index-swap", 0.0, _draw_two_sample_sets, _cov_index_swap),
+    _identity("corr-unit-diagonal", 0.0, _draw_sample_set, _corr_unit_diagonal),
+    _identity("corr-bounds", 1e-12, _draw_sample_set, _corr_bounds),
+    _Check("independence-zero-crosscov", 0.02, 1, _draw_seed, _independence,
+           "observations in each of the two sets", lambda n: n),
+    _identity("density-equivalence", 1e-10, _draw_law_and_point, _density_equivalence),
+    _Check("density-normalization", 1e-3, 1, _draw_grid, _density_normalization,
+           "grid points", lambda n: GRID**2),
+    _Check("moment-recovery-mean", 0.02, 1, _draw_seed, _moment_recovery_mean,
+           "observations", lambda n: n),
+    _Check("moment-recovery-cov", 0.05, 1, _draw_seed, _moment_recovery_cov,
+           "observations", lambda n: n),
+    _identity("elliptical-normal-consistency", 1e-12, _draw_law_and_point, _elliptical_normal),
+    _Check("elliptical-student-covariance", 0.1, 1, _draw_seed, _elliptical_student_cov,
+           "observations, one set of 2n", lambda n: 2 * n),
+    _Check("sampling-determinism", 0.0, 1, _draw_sampling_determinism, _sampling_determinism,
+           "draws in each repeat", lambda n: REPEAT_DRAWS),
 )
 
-CHECK_NAMES = tuple(row[0] for row in _CHECKS)
+CHECK_NAMES = tuple(check.name for check in _CHECKS)
+
+
+def _instance_bytes(inputs: tuple, shape: Shape) -> int:
+    # An instance's drawn inputs, and at least one nstar x nstar float64
+    # matrix: most evaluations build square tensors from small inputs.
+    return max(sum(np.asarray(v).nbytes for v in inputs), 8 * shape.nstar**2)
+
+
+def _batches(check: _Check, rng: np.random.Generator, shape: Shape, n: int):
+    # The check's instances, drawn in order, in batches of at least one
+    # instance that stop once their bytes reach BATCH_BYTES.
+    batch, size = [], 0
+    for _ in range(check.instances):
+        batch.append(check.draw(rng, shape, n))
+        size += _instance_bytes(batch[-1], shape)
+        if size >= BATCH_BYTES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _evaluate(check: _Check, shape: Shape, n: int, batch: list) -> np.ndarray:
+    # One evaluation per group of instances whose inputs have equal shapes
+    # (the sample-set checks draw their counts), each input stacked.
+    groups: dict[tuple, list] = {}
+    for inputs in batch:
+        groups.setdefault(tuple(np.shape(v) for v in inputs), []).append(inputs)
+    return np.concatenate([
+        check.evaluate(shape, n, *(np.stack(column) for column in zip(*group)))
+        for group in groups.values()
+    ])
 
 
 def _run_check(index: int, seed: int, shape: Shape, n: int) -> tuple[float, int]:
-    # Runs the check's instances on its substream and reports the largest
-    # deviation, NaN if any instance gave NaN, and the summed samples.
-    _name, _tolerance, instances, check = _CHECKS[index]
+    # Draws the check's instances on its substream, evaluates them batch by
+    # batch and reports the largest deviation, NaN if any instance gave
+    # NaN, and the samples its n= column counts.
+    check = _CHECKS[index]
     rng = RngSeed(seed, index).generator()
-    devs, samples = zip(*(check(rng, shape, n) for _ in range(instances)))
-    return float(np.max(devs)), sum(samples)
+    devs = [_evaluate(check, shape, n, batch) for batch in _batches(check, rng, shape, n)]
+    return float(np.max(np.concatenate(devs))), check.instances * check.per_instance(n)
 
 
 def run_verification(
@@ -488,16 +689,16 @@ def run_verification(
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check {corrupt!r}; known checks: {', '.join(CHECK_NAMES)}")
     results = []
-    for index, (name, tolerance, _instances, _check) in enumerate(_CHECKS):
+    for index, check in enumerate(_CHECKS):
         deviation, samples = _run_check(index, seed, shape, n)
-        if corrupt == name:
-            deviation = tolerance + max(1.0, tolerance)
+        if corrupt == check.name:
+            deviation = check.tolerance + max(1.0, check.tolerance)
         results.append(
             CheckResult(
-                name=name,
-                passed=deviation <= tolerance,
+                name=check.name,
+                passed=deviation <= check.tolerance,
                 deviation=deviation,
-                tolerance=tolerance,
+                tolerance=check.tolerance,
                 samples=samples,
             )
         )

@@ -1,6 +1,7 @@
 """Tests for the JSON and binary tensor file formats."""
 
 import json
+import os
 import struct
 from contextlib import nullcontext
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tensorstat import tensorfile
-from tensorstat.errors import FileFormatError
+from tensorstat.errors import FileFormatError, ShapeError
 from tensorstat.linalg import KroneckerFactors
 from tensorstat.stats import SampleSet
 from tensorstat.tensor_core import DenseTensor, Shape, SquareTensor, unmatricize
@@ -563,6 +564,149 @@ class TestJsonSampleTemplate:
         path = tmp_path / "s.json"
         path.write_text(text)
         assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+
+
+@pytest.fixture
+def chunked(monkeypatch):
+    # Three cores and no floor: every file of three or more observations
+    # is formatted and parsed in three chunks, two of them in children.
+    monkeypatch.setattr(tensorfile, "_cores", lambda: 3)
+    monkeypatch.setattr(tensorfile, "_MIN_CHUNK_VALUES", 1)
+
+
+def count_forks(monkeypatch):
+    forks = []
+    exact = tensorfile._fork
+
+    def counted(work, part):
+        forks.append(part)
+        return exact(work, part)
+
+    monkeypatch.setattr(tensorfile, "_fork", counted)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestJsonSampleChunks:
+    LONG = reference_text((2,), [[1.5, -2.0], [3.0, 4.25], [0.5, 6.0], [7.0, -8.5],
+                                 [9.25, 10.0], [-11.0, 12.5]], 7)
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 1, 2)])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 50])
+    def test_bytes_are_the_same_with_one_and_k_chunks(self, tmp_path, monkeypatch,
+                                                      dims, count):
+        rows = np.random.default_rng(count).standard_normal((count, int(np.prod(dims))))
+        s = SampleSet._wrap(rows, Shape(dims))
+        monkeypatch.setattr(tensorfile, "_cores", lambda: 1)
+        write_sample_set(str(tmp_path / "one.json"), s, seed=count)
+        monkeypatch.setattr(tensorfile, "_cores", lambda: 3)
+        monkeypatch.setattr(tensorfile, "_MIN_CHUNK_VALUES", 1)
+        forks = count_forks(monkeypatch)
+        write_sample_set(str(tmp_path / "k.json"), s, seed=count)
+        assert len(forks) == max(0, min(3, count) - 1)
+        one = (tmp_path / "one.json").read_bytes()
+        assert (tmp_path / "k.json").read_bytes() == one
+        assert one.decode() == reference_text(dims, rows.tolist(), count)
+        parsed = tensorfile._template_sample_rows(one)
+        assert parsed is not None
+        assert parsed[0].tobytes() == rows.tobytes()
+        assert no_child_left()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[9.25", "[true"),
+            ("[9.25", "[1e999"),
+            ("[9.25", "[09.25"),
+            ("10.0]", "10.0]]"),
+            ("[9.25, 10.0]", "[9.25, 10.0, 1.0]"),
+            ("[-11.0, 12.5]", "[-11.0]"),
+        ],
+    )
+    def test_malformed_second_half_goes_to_the_general_reader(self, tmp_path, monkeypatch,
+                                                              chunked, old, new):
+        assert self.LONG.index(old) > len(self.LONG) // 2
+        path = tmp_path / "s.json"
+        path.write_text(self.LONG.replace(old, new, 1))
+        forks = count_forks(monkeypatch)
+        outcome = read_outcome(str(path))
+        assert len(forks) == 2
+        assert outcome[0] in (FileFormatError, ShapeError)
+        assert outcome == read_outcome(str(path), general_only=True)
+        assert no_child_left()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=FUZZ_FILE)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "replace"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(list("0123456789-+.eE,:[]{}\" \nNaIfntrul")),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_random_mutations_match_the_general_parse(self, tmp_path, chunked, edits):
+        text = self.LONG
+        for op, where, char in edits:
+            k = int(where * len(text))
+            if op == "insert":
+                text = text[:k] + char + text[k:]
+            elif op == "delete":
+                text = text[:k] + text[k + 1:]
+            else:
+                text = text[:k] + char + text[k + 1:]
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    @pytest.mark.parametrize("codec", ["write", "read"])
+    def test_no_child_is_left_after_an_exception(self, tmp_path, monkeypatch, chunked,
+                                                 side, codec):
+        rows = np.random.default_rng(5).standard_normal((9, 4))
+        s = SampleSet._wrap(rows, Shape((2, 2)))
+        path = str(tmp_path / "s.json")
+        write_sample_set(path, s, seed=5)
+        reference = (tmp_path / "s.json").read_bytes()
+        parent = os.getpid()
+        name = "_observations_text" if codec == "write" else "_parse_observations"
+        exact = getattr(tensorfile, name)
+
+        def failing(*args):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise RuntimeError("chunk failed")
+            return exact(*args)
+
+        monkeypatch.setattr(tensorfile, name, failing)
+        run = (lambda: write_sample_set(path, s, seed=5)) if codec == "write" else (
+            lambda: read_sample_set(path))
+        if side == "parent":
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                run()
+        else:
+            # A failed child's chunk is formatted by the parent; a failed
+            # parse goes to the general reader.  Either way the result holds.
+            back = run()
+            if codec == "read":
+                assert back.to_matrix().tobytes() == rows.tobytes()
+            assert (tmp_path / "s.json").read_bytes() == reference
+        assert no_child_left()
+
+    def test_without_fork_the_codec_runs_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(tensorfile, "_MIN_CHUNK_VALUES", 1)
+        assert tensorfile._cores() == 1
+        rows = np.random.default_rng(6).standard_normal((9, 4))
+        path = str(tmp_path / "s.json")
+        write_sample_set(path, SampleSet._wrap(rows, Shape((2, 2))), seed=6)
+        assert read_sample_set(path).to_matrix().tobytes() == rows.tobytes()
 
 
 class TestParamsFiles:

@@ -1,6 +1,7 @@
 """Tests for the verification harness behind ``tensorstat verify``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +18,18 @@ from tensorstat.tensor_core import DenseTensor, Shape, unmatricize, vec
 
 
 def test_perturbed_determinant_fails_det_product(monkeypatch):
-    exact = linalg.det
-    monkeypatch.setattr(linalg, "det", lambda x: exact(x) + 1e-3)
+    exact = linalg._dets
+    monkeypatch.setattr(linalg, "_dets", lambda m: exact(m) + 1e-3)
     report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
     assert "det-product" in report.failed_names
 
 
 def test_nan_determinant_fails_every_det_check(monkeypatch):
-    monkeypatch.setattr(linalg, "det", lambda x: math.nan)
+    # det-scale reads log |det| from slogdet; the other five read det.
+    monkeypatch.setattr(linalg, "_dets", lambda m: np.full(len(m), math.nan))
+    monkeypatch.setattr(
+        linalg, "_slogdets", lambda m: (np.ones(len(m)), np.full(len(m), math.nan))
+    )
     report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
     det_checks = [r for r in report.results if r.name.startswith("det-")]
     assert len(det_checks) == 6
@@ -33,35 +38,118 @@ def test_nan_determinant_fails_every_det_check(monkeypatch):
 
 
 def test_one_nan_product_fails_mat_product(monkeypatch):
-    exact = verify.contract_product
+    # One NaN element in the first stacked contraction: the check sees it
+    # among its 200 instances.
+    exact = verify._contract_stack
     calls = []
 
-    def nan_once(x, y):
-        calls.append(None)
-        out = exact(x, y)
-        return out * math.nan if len(calls) == 1 else out
+    def nan_once(xs, ys):
+        calls.append(len(xs))
+        out = exact(xs, ys)
+        if len(calls) == 1:
+            out[7] = math.nan
+        return out
 
-    monkeypatch.setattr(verify, "contract_product", nan_once)
+    monkeypatch.setattr(verify, "_contract_stack", nan_once)
     report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
     result = next(r for r in report.results if r.name == "mat-product")
     assert not result.passed and math.isnan(result.deviation)
     assert result.samples == verify.INSTANCES
+    assert calls[0] == verify.INSTANCES
+
+
+def uniform_check(calls):
+    # A check whose instance is one uniform draw and whose deviation is
+    # that draw, NaN for the 17th instance drawn.
+    def draw(rng, shape, n):
+        calls.append("draw")
+        return (float(rng.uniform()),)
+
+    def evaluate(shape, n, values):
+        calls.append(len(values))
+        first = calls.count("draw") - len(values)
+        out = values.copy()
+        if first <= 16 < first + len(values):
+            out[16 - first] = math.nan
+        return out
+
+    check = verify._CHECKS[0]
+    assert check.instances == verify.INSTANCES
+    return verify._Check(check.name, check.tolerance, check.instances, draw, evaluate,
+                         "instances", lambda n: 1)
 
 
 def test_driver_reduces_one_nan_instance_to_nan(monkeypatch):
-    calls = []
+    # Whether the 200 instances are evaluated as one stack or one by one,
+    # the NaN of one of them is the check's deviation.
+    for batch_bytes, stacks in [(4 << 20, [200]), (1, [1] * 200)]:
+        calls = []
+        table = (uniform_check(calls),) + verify._CHECKS[1:]
+        monkeypatch.setattr(verify, "_CHECKS", table)
+        monkeypatch.setattr(verify, "BATCH_BYTES", batch_bytes)
+        deviation, samples = verify._run_check(0, 1729, Shape((2,)), 10)
+        assert [c for c in calls if c != "draw"] == stacks
+        assert calls.count("draw") == samples == verify.INSTANCES
+        assert math.isnan(deviation)
 
-    def instance(rng, shape, n):
-        calls.append(None)
-        return (math.nan if len(calls) == 17 else float(rng.uniform())), 1
 
-    name, tolerance, instances, _check = verify._CHECKS[0]
-    assert instances == verify.INSTANCES
-    table = ((name, tolerance, instances, instance),) + verify._CHECKS[1:]
-    monkeypatch.setattr(verify, "_CHECKS", table)
-    deviation, samples = verify._run_check(0, 1729, Shape((2,)), 10)
-    assert len(calls) == samples == verify.INSTANCES
-    assert math.isnan(deviation)
+def one_at_a_time(index, shape, n):
+    # Every instance of the check drawn as _run_check draws them, each
+    # evaluated alone.
+    check = verify._CHECKS[index]
+    rng = distributions.RngSeed(1729, index).generator()
+    inputs = [check.draw(rng, shape, n) for _ in range(check.instances)]
+    return [float(verify._evaluate(check, shape, n, [i])[0]) for i in inputs]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+def test_stacked_deviation_is_the_largest_one_at_a_time(dims):
+    shape = Shape(dims)
+    for index, check in enumerate(verify._CHECKS):
+        rng = distributions.RngSeed(1729, index).generator()
+        assert len(list(verify._batches(check, rng, shape, 100))) == 1
+        stacked, _samples = verify._run_check(index, 1729, shape, 100)
+        assert stacked == max(one_at_a_time(index, shape, 100)), check.name
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+def test_tolerance_zero_checks_read_exactly_zero(dims):
+    report = verify.run_verification(Shape(dims), n=2000, seed=1729)
+    exact = [r for r in report.results if r.tolerance == 0.0]
+    assert [r.name for r in exact] == [
+        "mat-roundtrip", "mat-linearity", "mat-transpose", "det-identity", "det-zero",
+        "cov-index-swap", "corr-unit-diagonal", "sampling-determinism",
+    ]
+    for r in exact:
+        assert r.deviation == 0.0, r.line()
+
+
+def test_det_scale_holds_beyond_float64_determinants():
+    # X = Q diag(1e50) at 4x4: log |det X| = 16 log 1e50, about 1842 > 709,
+    # so det(X) is inf and the identity lam^16 det(X) = det(lam X) reads NaN.
+    shape = Shape((4, 4))
+    g1 = np.random.default_rng(3).standard_normal((2, 16, 16))
+    g2 = np.stack([np.eye(16)] * 2)
+    svals = np.full((2, 16), 1e50)
+    lam = np.array([-1.7, 0.6])
+    assert np.isinf(linalg._dets(verify._well_conditioned(g1, g2, svals))).all()
+    deviation = verify._det_scale(shape, 100, g1, g2, svals, lam)
+    tolerance = verify._CHECKS[verify.CHECK_NAMES.index("det-scale")].tolerance
+    assert np.isfinite(deviation).all()
+    assert (deviation <= tolerance).all()
+
+
+def test_batches_are_sized_by_bytes_at_16x16():
+    # 200 dense 16x16 square tensors are 100 MiB, and the checks hold
+    # several per instance; in batches the whole run stays far below.
+    tracemalloc.start()
+    try:
+        report = verify.run_verification(Shape((16, 16)), n=2000, seed=1729)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(report.results) == 28
 
 
 def test_density_normalization_matches_the_full_grid():
@@ -75,9 +163,7 @@ def test_density_normalization_matches_the_full_grid():
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     dens = np.exp(normal_log_density_batch(p, pts)).reshape(1601, 1601)
     full = abs(float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis, axis=0)) - 1.0)
-    deviation, samples = verify._check_density_normalization(
-        np.random.default_rng(0), Shape((2, 2)), 100
-    )
+    deviation, samples = run_one("density-normalization")[::2]
     assert samples == 201**2
     assert deviation.hex() == full.hex()
 
@@ -85,7 +171,7 @@ def test_density_normalization_matches_the_full_grid():
 def run_one(name):
     index = verify.CHECK_NAMES.index(name)
     deviation, samples = verify._run_check(index, 1729, Shape((2, 2)), 100)
-    return deviation, verify._CHECKS[index][1], samples
+    return deviation, verify._CHECKS[index].tolerance, samples
 
 
 def density_normalization():
@@ -209,7 +295,9 @@ def test_perturbed_sampler_fails_sampling_determinism(monkeypatch):
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_random_sample_set_rows_match_single_draws(dims, n):
     shape = Shape(dims)
-    block = verify._random_sample_set(np.random.default_rng(9), shape, n).to_matrix()
+    block = verify._random_rows(np.random.default_rng(9), shape, n)
     rng = np.random.default_rng(9)
-    rows = np.array([vec(verify._random_dense(rng, shape)) for _ in range(n)])
+    rows = np.array([
+        vec(DenseTensor._wrap(rng.standard_normal(shape.dims), shape)) for _ in range(n)
+    ])
     np.testing.assert_array_equal(block, rows)
