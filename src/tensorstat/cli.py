@@ -25,7 +25,7 @@ from typing import Optional
 from .distributions import (
     EllipticalParams,
     RngSeed,
-    _density_from_log,
+    elliptical_density,
     elliptical_log_density,
     elliptical_sample,
     kernel_from_spec,
@@ -194,8 +194,8 @@ def _cmd_density(args) -> int:
     point = read_tensor(args.point)
     if not isinstance(point, DenseTensor):
         raise FileFormatError("the evaluation point must be a plain tensor")
-    value = elliptical_log_density(params, point)
-    print(_fmt(value if args.log else _density_from_log(value)))
+    density = elliptical_log_density if args.log else elliptical_density
+    print(_fmt(density(params, point)))
     return EXIT_OK
 
 

@@ -49,7 +49,7 @@ from .linalg import (
     kronecker_cholesky,
     symmetric_part,
 )
-from .stats import SampleSet, covariance, mean_tensor
+from .stats import SampleSet, cross_covariance, mean_tensor
 from .tensor_core import (
     DenseTensor, Shape, SquareTensor, _require_finite, matricize, unmatricize, vec
 )
@@ -534,9 +534,9 @@ def fit_normal(s: SampleSet, normalization: str = "unbiased") -> TensorNormalPar
     if len(s) < 2:
         raise ValueError("fitting requires at least two observations")
     loc = mean_tensor(s)
-    cov = covariance(s, normalization)
+    cov = cross_covariance(s, s, normalization).value
     try:
-        return TensorNormalParams(location=loc, scale=cov.value)
+        return TensorNormalParams(location=loc, scale=cov)
     except DefinitenessError as e:
         raise DefinitenessError(
             f"sample covariance is not positive definite ({e}); add an explicit "

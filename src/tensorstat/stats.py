@@ -36,6 +36,7 @@ from .tensor_core import (
     Shape,
     ShapeLike,
     SquareTensor,
+    _matricize_stack,
     as_shape,
     matricize,
     unmatricize,
@@ -126,8 +127,7 @@ class SampleSet:
     @property
     def block(self) -> np.ndarray:
         """Read-only ``(N, n1, .., nD)`` multi-index view of the storage."""
-        by_cell = self._rows.T.reshape(self.shape.dims + (len(self),), order="F")
-        return np.moveaxis(by_cell, -1, 0)
+        return _blocks(self._rows[None], self._shape)[0]
 
     def __len__(self) -> int:
         return self._rows.shape[0]
@@ -258,14 +258,17 @@ def _deviations(rows: np.ndarray, shape: Shape) -> np.ndarray:
 
 
 def _cross_covariances(
-    rx: np.ndarray, ry: np.ndarray, shape_x: Shape, shape_y: Shape, denom: float, same: bool
+    rx: np.ndarray, ry: np.ndarray, shape_x: Shape, shape_y: Shape, normalization: str
 ) -> np.ndarray:
     # The estimator of cross_covariance over stacks of G paired sets:
     # (G, N, nstar_x) and (G, N, nstar_y) rows give (G, n_x.., n_y..).
-    # ``same`` says each pair holds the same observations, which take one
-    # contraction.  Finite observations can still overflow the mean or the
-    # sums of products; the result is refused instead of warned about.
+    # Passing the same array twice says each pair holds the same
+    # observations, which take one contraction.  Finite observations can
+    # still overflow the mean or the sums of products; the result is
+    # refused instead of warned about.
     g, count = rx.shape[:2]
+    denom = _denominator(count, normalization)
+    same = rx is ry
     with np.errstate(over="ignore", invalid="ignore"):
         dx = _deviations(rx, shape_x).reshape(g, count, shape_x.nstar)
         dy = dx if same else _deviations(ry, shape_y).reshape(g, count, shape_y.nstar)
@@ -302,13 +305,12 @@ def cross_covariance(
         raise ValueError(
             f"sample sets must pair positionally, got {len(sx)} and {len(sy)} observations"
         )
-    denom = _denominator(len(sx), normalization)
+    rx = sx.to_matrix()[None]
     same = sx is sy or (
         sx.shape == sy.shape and np.array_equal(sx.to_matrix(), sy.to_matrix())
     )
-    acc = _cross_covariances(
-        sx.to_matrix()[None], sy.to_matrix()[None], sx.shape, sy.shape, denom, same
-    )[0]
+    ry = rx if same else sy.to_matrix()[None]
+    acc = _cross_covariances(rx, ry, sx.shape, sy.shape, normalization)[0]
     if sx.shape == sy.shape:
         value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(acc, sx.shape)
     else:
@@ -321,7 +323,9 @@ def covariance(s: SampleSet, normalization: str = "unbiased") -> CovTensor:
 
     Exactly symmetric under block transpose, because
     :func:`cross_covariance` symmetrizes the single contraction it takes
-    for a set paired with itself.
+    for a set paired with itself.  The only estimator that returns the
+    :class:`CovTensor` diagnostics, and so the only one that pays for
+    their eigen-decomposition.
     """
     cross = cross_covariance(s, s, normalization)
     return CovTensor(value=cross.value, normalization=normalization)
@@ -336,13 +340,14 @@ def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarr
     ``ValueError`` when the result overflows float64, as :func:`covariance`
     does.
     """
-    return _vec_covariances(s.to_matrix()[None], _denominator(len(s), normalization))[0]
+    return _vec_covariances(s.to_matrix()[None], normalization)[0]
 
 
-def _vec_covariances(rows: np.ndarray, denom: float) -> np.ndarray:
+def _vec_covariances(rows: np.ndarray, normalization: str) -> np.ndarray:
     # covariance_of_vec over a (G, N, nstar) stack of sets: centre, then
     # one matrix product per set.  Refused below like cross_covariance's
     # overflow, not warned about.
+    denom = _denominator(rows.shape[1], normalization)
     with np.errstate(over="ignore", invalid="ignore"):
         d = rows - rows.mean(axis=1, keepdims=True)
         cov = np.matmul(d.transpose(0, 2, 1), d) / denom
@@ -389,9 +394,13 @@ def _standardize(c, sd_x, sd_y, deg_x, deg_y, unit_diagonal: bool = False) -> np
     return r
 
 
-def _correlations(c: np.ndarray, shape: Shape, on_degenerate: str) -> tuple[np.ndarray, np.ndarray]:
-    # Correlation matrices and cell standard deviations of a (G, nstar,
-    # nstar) stack of matricized MLE covariances.
+def _correlations(
+    rows: np.ndarray, shape: Shape, on_degenerate: str
+) -> tuple[np.ndarray, np.ndarray]:
+    # The estimator of correlation over a (G, N, nstar) stack of sets: the
+    # (G, nstar, nstar) correlation matrices and (G, nstar) cell standard
+    # deviations, both read from the matricized MLE covariances.
+    c = _matricize_stack(_cross_covariances(rows, rows, shape, shape, "mle"), shape)
     sd = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
     degenerate = _degenerate_cells(sd, shape, on_degenerate)
     return _standardize(c, sd, sd, degenerate, degenerate, unit_diagonal=True), sd
@@ -406,8 +415,7 @@ def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
     ``"substitute"`` writes 0 off the diagonal and 1 on it.
     """
     _require_on_degenerate(on_degenerate)
-    c = matricize(covariance(s, "mle").value)
-    (r,), (sd,) = _correlations(c[None], s.shape, on_degenerate)
+    (r,), (sd,) = _correlations(s.to_matrix()[None], s.shape, on_degenerate)
     stddev = DenseTensor._wrap(sd.reshape(s.shape.dims, order="F"), s.shape)
     return CorrTensor(value=unmatricize(r, s.shape), stddev=stddev)
 

@@ -274,8 +274,6 @@ def write_sample_set(
     start = _observation_start(dims)
     chunks = _split_rows(rows)
     texts = _on_every_core(lambda chunk: _observations_text(chunk, start), chunks)
-    # A chunk whose child failed is formatted here instead.
-    texts = [_observations_text(c, start) if t is None else t for c, t in zip(chunks, texts)]
     head = (header[:-1] + ', "observations": [').encode("utf-8")
     _write_bytes(path, head, b", ".join(texts), b"]}\n")
 
@@ -336,21 +334,21 @@ def _on_every_core(work: Callable, parts: list) -> list:
 
     ``work`` returns bytes, or None for a part it cannot do.  The parent
     does the first part while the children do the rest; it then reads the
-    children's bytes in order, and a child that failed gives None.  Every
-    child is reaped, also when the parent raises.
+    children's bytes in order, and does the part of a child that failed
+    itself.  Every child is reaped, also when the parent raises.
     """
     pending = []
     try:
         for part in parts[1:]:
             pending.append(_fork(work, part))
         results = [work(parts[0])]
-        while pending:
+        for part in parts[1:]:
             pid, pipe = pending[0]
             data = pipe.read()
             pipe.close()
             _, status = os.waitpid(pid, 0)
             pending.pop(0)
-            results.append(data if status == 0 else None)
+            results.append(data if status == 0 else work(part))
         return results
     finally:
         for pid, pipe in pending:

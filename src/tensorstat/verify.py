@@ -42,7 +42,6 @@ from .linalg import KroneckerFactors, kronecker_assemble
 from .stats import (
     _correlations,
     _cross_covariances,
-    _denominator,
     _vec_covariances,
     covariance,
     cross_covariance,
@@ -55,6 +54,7 @@ from .tensor_core import (
     _contract_stack,
     _double_dot_stack,
     _matricize_stack,
+    _reshape_each,
     _transpose2d_stack,
     _unmatricize_stack,
     matricize,
@@ -153,7 +153,7 @@ def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> 
 
 def _random_rows(rng: np.random.Generator, shape: Shape, n: int) -> np.ndarray:
     # The same draws, in the same order, as n multi-index arrays, as rows.
-    return _vecs(rng.standard_normal((n,) + shape.dims), shape)
+    return _reshape_each(rng.standard_normal((n,) + shape.dims), (shape.nstar,))
 
 
 def _random_factors(rng: np.random.Generator, shape: Shape) -> tuple[np.ndarray, ...]:
@@ -171,12 +171,6 @@ def _pattern_params(shape: Shape) -> TensorNormalParams:
 
 # ---------------------------------------------------------------------------
 # helpers over stacks: the leading axis is the instance
-
-
-def _vecs(arrays: np.ndarray, shape: Shape) -> np.ndarray:
-    # (B,) + dims multi-index arrays -> (B, nstar) column-major vecs: each
-    # array's axes are reversed so a C-order row is its vec.
-    return arrays.transpose((0,) + tuple(range(shape.order, 0, -1))).reshape(len(arrays), -1)
 
 
 def _worst(a: np.ndarray) -> np.ndarray:
@@ -363,7 +357,7 @@ def _kron_mode_scaling(shape, n, a):
     weights = np.arange(1.0, shape.dims[0] + 1.0)
     factors = (np.diag(weights),) + tuple(np.eye(nk) for nk in shape.dims[1:])
     assembled = kronecker_assemble(KroneckerFactors(factors))
-    v = _vecs(a, shape)
+    v = _reshape_each(a, (shape.nstar,))
     got = _quadratic(v, assembled[None])
     ref = np.sum(np.resize(weights, shape.nstar) * v**2, axis=1)
     return _rel(np.abs(got - ref), ref)
@@ -376,7 +370,7 @@ def _draw_kron_quadratic_form(rng, shape, n):
 def _kron_quadratic_form(shape, n, *stacks):
     *factors, a = stacks
     assembled = linalg._kron_stack(factors)
-    ref = _quadratic(_vecs(a, shape), assembled)
+    ref = _quadratic(_reshape_each(a, (shape.nstar,)), assembled)
     got = _double_dot_stack(a, _unmatricize_stack(assembled, shape), a)
     return _rel(np.abs(got - ref), ref)
 
@@ -401,20 +395,9 @@ def _kron_equivalence(shape, n, *inputs):
     return report.max_abs_deviation
 
 
-def _covariances(rows: np.ndarray, shape: Shape, normalization: str = "unbiased") -> np.ndarray:
-    denom = _denominator(rows.shape[1], normalization)
-    return _cross_covariances(rows, rows, shape, shape, denom, True)
-
-
-def _cross(rx: np.ndarray, ry: np.ndarray, shape: Shape) -> np.ndarray:
-    denom = _denominator(rx.shape[1], "unbiased")
-    return _cross_covariances(rx, ry, shape, shape, denom, False)
-
-
 def _cov_mat_consistency(shape, n, rows):
-    got = _matricize_stack(_covariances(rows, shape), shape)
-    ref = _vec_covariances(rows, _denominator(rows.shape[1], "unbiased"))
-    return _worst(np.abs(got - ref))
+    got = _matricize_stack(_cross_covariances(rows, rows, shape, shape, "unbiased"), shape)
+    return _worst(np.abs(got - _vec_covariances(rows, "unbiased")))
 
 
 def _cov_moment_identity(shape, n, rows):
@@ -426,37 +409,32 @@ def _cov_moment_identity(shape, n, rows):
     for k in range(count):
         acc += rows[:, k, :, None] * rows[:, k, None, :]
     ref = acc / count - mean[:, :, None] * mean[:, None, :]
-    got = _matricize_stack(_covariances(rows, shape, "mle"), shape)
+    got = _matricize_stack(_cross_covariances(rows, rows, shape, shape, "mle"), shape)
     return _worst(np.abs(got - ref))
 
 
 def _cov_sum_expansion(shape, n, x, y):
-    total = _covariances(x + y, shape)
-    parts = (
-        _covariances(x, shape) + _cross(x, y, shape) + _cross(y, x, shape)
-        + _covariances(y, shape)
-    )
-    return _worst(np.abs(total - parts))
+    def cov(a, b):
+        return _cross_covariances(a, b, shape, shape, "unbiased")
+
+    total = x + y
+    parts = cov(x, x) + cov(x, y) + cov(y, x) + cov(y, y)
+    return _worst(np.abs(cov(total, total) - parts))
 
 
 def _cov_index_swap(shape, n, x, y):
-    kxy = _matricize_stack(_cross(x, y, shape), shape)
-    kyx = _matricize_stack(_cross(y, x, shape), shape)
+    kxy = _matricize_stack(_cross_covariances(x, y, shape, shape, "unbiased"), shape)
+    kyx = _matricize_stack(_cross_covariances(y, x, shape, shape, "unbiased"), shape)
     return _worst(np.abs(kxy - kyx.transpose(0, 2, 1)))
 
 
-def _correlation_matrices(rows: np.ndarray, shape: Shape) -> np.ndarray:
-    c = _matricize_stack(_covariances(rows, shape, "mle"), shape)
-    return _correlations(c, shape, "error")[0]
-
-
 def _corr_unit_diagonal(shape, n, rows):
-    r = _correlation_matrices(rows, shape)
+    r, _sd = _correlations(rows, shape, "error")
     return _worst(np.abs(np.diagonal(r, axis1=1, axis2=2) - 1.0))
 
 
 def _corr_bounds(shape, n, rows):
-    return np.maximum(_worst(np.abs(_correlation_matrices(rows, shape))) - 1.0, 0.0)
+    return np.maximum(_worst(np.abs(_correlations(rows, shape, "error")[0])) - 1.0, 0.0)
 
 
 @_one_by_one
@@ -571,8 +549,8 @@ class _Check:
     arrays and numbers, and is the only part that consumes the check's
     random stream.  ``evaluate(shape, n, *stacks)`` takes the inputs of
     several instances, each stacked along a new leading axis, and returns
-    one deviation per instance.  ``counts`` names what the ``n=`` column
-    counts; ``per_instance(n)`` is how many of them one instance adds.
+    one deviation per instance.  ``per_instance(n)`` is how many samples
+    of the ``n=`` column one instance adds.
     """
 
     name: str
@@ -580,12 +558,11 @@ class _Check:
     instances: int
     draw: Callable
     evaluate: Callable
-    counts: str
     per_instance: Callable[[int], int]
 
 
 def _identity(name, tolerance, draw, evaluate, instances=INSTANCES):
-    return _Check(name, tolerance, instances, draw, evaluate, "instances", lambda n: 1)
+    return _Check(name, tolerance, instances, draw, evaluate, lambda n: 1)
 
 
 # The position in this table picks the check's seed substream.
@@ -604,27 +581,24 @@ _CHECKS: tuple[_Check, ...] = (
     _identity("kronecker-mode-scaling", 1e-12, _draw_dense, _kron_mode_scaling),
     _identity("kronecker-quadratic-form", 1e-12, _draw_kron_quadratic_form, _kron_quadratic_form),
     _Check("kronecker-equivalence", 1e-10, 10, _draw_kron_equivalence, _kron_equivalence,
-           "probe points", lambda n: PROBES),
+           lambda n: PROBES),
     _identity("cov-mat-consistency", 1e-12, _draw_sample_set, _cov_mat_consistency),
     _identity("cov-moment-identity", 1e-12, _draw_sample_set, _cov_moment_identity),
     _identity("cov-sum-expansion", 1e-12, _draw_two_sample_sets, _cov_sum_expansion),
     _identity("cov-index-swap", 0.0, _draw_two_sample_sets, _cov_index_swap),
     _identity("corr-unit-diagonal", 0.0, _draw_sample_set, _corr_unit_diagonal),
     _identity("corr-bounds", 1e-12, _draw_sample_set, _corr_bounds),
-    _Check("independence-zero-crosscov", 0.02, 1, _draw_seed, _independence,
-           "observations in each of the two sets", lambda n: n),
+    _Check("independence-zero-crosscov", 0.02, 1, _draw_seed, _independence, lambda n: n),
     _identity("density-equivalence", 1e-10, _draw_law_and_point, _density_equivalence),
     _Check("density-normalization", 1e-3, 1, _draw_grid, _density_normalization,
-           "grid points", lambda n: GRID**2),
-    _Check("moment-recovery-mean", 0.02, 1, _draw_seed, _moment_recovery_mean,
-           "observations", lambda n: n),
-    _Check("moment-recovery-cov", 0.05, 1, _draw_seed, _moment_recovery_cov,
-           "observations", lambda n: n),
+           lambda n: GRID**2),
+    _Check("moment-recovery-mean", 0.02, 1, _draw_seed, _moment_recovery_mean, lambda n: n),
+    _Check("moment-recovery-cov", 0.05, 1, _draw_seed, _moment_recovery_cov, lambda n: n),
     _identity("elliptical-normal-consistency", 1e-12, _draw_law_and_point, _elliptical_normal),
     _Check("elliptical-student-covariance", 0.1, 1, _draw_seed, _elliptical_student_cov,
-           "observations, one set of 2n", lambda n: 2 * n),
+           lambda n: 2 * n),
     _Check("sampling-determinism", 0.0, 1, _draw_sampling_determinism, _sampling_determinism,
-           "draws in each repeat", lambda n: REPEAT_DRAWS),
+           lambda n: REPEAT_DRAWS),
 )
 
 CHECK_NAMES = tuple(check.name for check in _CHECKS)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tensorstat.distributions import RngSeed, TensorNormalParams, normal_sample
+from tensorstat import stats
+from tensorstat.distributions import RngSeed, TensorNormalParams, fit_normal, normal_sample
 from tensorstat.errors import DegenerateVarianceError, ShapeError
 from tensorstat.stats import (
     SampleSet,
@@ -418,3 +419,66 @@ class TestCrossCorrelation:
         sy = make_set([[5.0], [5.0]], (1,))
         r = cross_correlation(sx, sy, on_degenerate="substitute")
         np.testing.assert_array_equal(r.value.data, [0.0])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+# Shapes and sample counts for the stacked estimator cores; the last count
+# makes every contraction a full-size BLAS GEMM.
+STACK_CASES = [((2,), 6), ((2, 2), 9), ((3, 2, 2), 12), ((8, 8), 2000)]
+
+
+class TestStackedCores:
+    # Each stacked estimator over G=3 sets gives, set by set, the bits of
+    # the public call on that one set.
+
+    @staticmethod
+    def stack(rng, dims, n):
+        rows = rng.standard_normal((3, n, int(np.prod(dims))))
+        return rows, [SampleSet._wrap(r, Shape(dims)) for r in rows]
+
+    @pytest.mark.parametrize("dims, n", STACK_CASES)
+    @pytest.mark.parametrize("normalization", ["unbiased", "mle"])
+    def test_cross_covariances(self, dims, n, normalization):
+        rng = np.random.default_rng(n)
+        shape = Shape(dims)
+        rx, sets_x = self.stack(rng, dims, n)
+        ry, sets_y = self.stack(rng, dims, n)
+        pairs = stats._cross_covariances(rx, ry, shape, shape, normalization)
+        selves = stats._cross_covariances(rx, rx, shape, shape, normalization)
+        for g in range(3):
+            ref = cross_covariance(sets_x[g], sets_y[g], normalization).value.array
+            assert bits(pairs[g]) == bits(ref)
+            ref = cross_covariance(sets_x[g], sets_x[g], normalization).value.array
+            assert bits(selves[g]) == bits(ref)
+
+    @pytest.mark.parametrize("dims, n", STACK_CASES)
+    @pytest.mark.parametrize("normalization", ["unbiased", "mle"])
+    def test_vec_covariances(self, dims, n, normalization):
+        rows, sets = self.stack(np.random.default_rng(n), dims, n)
+        got = stats._vec_covariances(rows, normalization)
+        for g in range(3):
+            assert bits(got[g]) == bits(covariance_of_vec(sets[g], normalization))
+
+    @pytest.mark.parametrize("dims, n", STACK_CASES)
+    def test_correlations(self, dims, n):
+        rows, sets = self.stack(np.random.default_rng(n), dims, n)
+        r, sd = stats._correlations(rows, Shape(dims), "error")
+        for g in range(3):
+            corr = correlation(sets[g])
+            assert bits(r[g]) == bits(matricize(corr.value))
+            assert bits(sd[g]) == bits(corr.stddev.data)
+
+
+def test_correlation_and_fit_normal_take_no_eigen_decomposition(monkeypatch):
+    # Only covariance returns the CovTensor diagnostics; the estimators that
+    # use a covariance's value alone never pay for its eigenvalues.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    s = random_set(np.random.default_rng(56), (2, 2), 20)
+    correlation(s)
+    fit_normal(s)

@@ -76,7 +76,7 @@ def uniform_check(calls):
     check = verify._CHECKS[0]
     assert check.instances == verify.INSTANCES
     return verify._Check(check.name, check.tolerance, check.instances, draw, evaluate,
-                         "instances", lambda n: 1)
+                         lambda n: 1)
 
 
 def test_driver_reduces_one_nan_instance_to_nan(monkeypatch):
