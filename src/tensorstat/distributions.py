@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -98,15 +99,23 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
+        # operator.index refuses the floats and strings int() would truncate
+        # or parse; bool is an int, so it is refused by name, as in Shape.
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if int(self.stream) < 0:
+        if self.stream < 0:
             raise ValueError("stream index must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream),)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(ss)
 
 

@@ -37,6 +37,9 @@ from .tensor_core import (
     ShapeLike,
     SquareTensor,
     _matricize_stack,
+    _pair,
+    _reshape_each,
+    _row_blocks,
     as_shape,
     matricize,
     unmatricize,
@@ -127,7 +130,7 @@ class SampleSet:
     @property
     def block(self) -> np.ndarray:
         """Read-only ``(N, n1, .., nD)`` multi-index view of the storage."""
-        return _blocks(self._rows[None], self._shape)[0]
+        return _row_blocks(self._rows[None], self._shape)[0]
 
     def __len__(self) -> int:
         return self._rows.shape[0]
@@ -136,8 +139,7 @@ class SampleSet:
         return (self[k] for k in range(len(self)))
 
     def __getitem__(self, k: int) -> DenseTensor:
-        row = self._rows[operator.index(k)]
-        return DenseTensor._wrap(row.reshape(self._shape.dims, order="F"), self._shape)
+        return DenseTensor._wrap(self._rows[operator.index(k)], self._shape)
 
     def __eq__(self, other) -> bool:
         if type(other) is not SampleSet:
@@ -223,8 +225,7 @@ def mean_tensor(s: SampleSet) -> DenseTensor:
     """Entrywise arithmetic mean of the observations."""
     if len(s) == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    mean = s.to_matrix().mean(axis=0)
-    return DenseTensor._wrap(mean.reshape(s.shape.dims, order="F"), s.shape)
+    return DenseTensor._wrap(s.to_matrix().mean(axis=0), s.shape)
 
 
 def _denominator(n: int, normalization: str) -> float:
@@ -241,20 +242,11 @@ def _denominator(n: int, normalization: str) -> float:
     return float(n)
 
 
-def _blocks(rows: np.ndarray, shape: Shape) -> np.ndarray:
-    # (G, N, nstar) stacked sample rows as (G, N, n1, .., nD) multi-index
-    # views: each row is a column-major vec, so its reversed C-order
-    # reshape is the observation.
-    d = shape.order
-    by_cell = rows.reshape(rows.shape[:2] + shape.dims[::-1])
-    return np.transpose(by_cell, (0, 1) + tuple(range(d + 1, 1, -1)))
-
-
 def _deviations(rows: np.ndarray, shape: Shape) -> np.ndarray:
     # (G, N, n1, .., nD) deviations of the observations from their set's
     # mean, laid out C-contiguous so the contraction reshapes for free.
-    means = _blocks(rows.mean(axis=1)[:, None], shape)
-    return np.subtract(_blocks(rows, shape), means, order="C")
+    means = _row_blocks(rows.mean(axis=1)[:, None], shape)
+    return np.subtract(_row_blocks(rows, shape), means, order="C")
 
 
 def _cross_covariances(
@@ -311,11 +303,7 @@ def cross_covariance(
     )
     ry = rx if same else sy.to_matrix()[None]
     acc = _cross_covariances(rx, ry, sx.shape, sy.shape, normalization)[0]
-    if sx.shape == sy.shape:
-        value: Union[SquareTensor, DenseTensor] = SquareTensor._wrap(acc, sx.shape)
-    else:
-        value = DenseTensor._wrap(acc, Shape(sx.shape.dims + sy.shape.dims))
-    return CrossCovTensor(value=value, normalization=normalization)
+    return CrossCovTensor(value=_pair(acc, sx.shape, sy.shape), normalization=normalization)
 
 
 def covariance(s: SampleSet, normalization: str = "unbiased") -> CovTensor:
@@ -359,8 +347,7 @@ def _vec_covariances(rows: np.ndarray, normalization: str) -> np.ndarray:
 def _cell_stddev(s: SampleSet) -> np.ndarray:
     # Per-cell MLE standard deviations, in vec order; exactly zero for
     # constant cells.
-    rows = s.to_matrix()
-    d = rows - mean_tensor(s).data
+    d = s.to_matrix() - s.to_matrix().mean(axis=0)
     return np.sqrt((d * d).sum(axis=0) / len(s))
 
 
@@ -416,8 +403,7 @@ def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
     """
     _require_on_degenerate(on_degenerate)
     (r,), (sd,) = _correlations(s.to_matrix()[None], s.shape, on_degenerate)
-    stddev = DenseTensor._wrap(sd.reshape(s.shape.dims, order="F"), s.shape)
-    return CorrTensor(value=unmatricize(r, s.shape), stddev=stddev)
+    return CorrTensor(value=unmatricize(r, s.shape), stddev=DenseTensor._wrap(sd, s.shape))
 
 
 def cross_correlation(
@@ -431,19 +417,10 @@ def cross_correlation(
     """
     _require_on_degenerate(on_degenerate)
     cross = cross_covariance(sx, sy, "mle")
-    sdx = _cell_stddev(sx)
-    sdy = _cell_stddev(sy)
+    sdx, sdy = _cell_stddev(sx), _cell_stddev(sy)
     degx = _degenerate_cells(sdx, sx.shape, on_degenerate, "first-argument ")
     degy = _degenerate_cells(sdy, sy.shape, on_degenerate, "second-argument ")
-    c = cross.value.data.reshape((sx.shape.nstar, sy.shape.nstar), order="F")
+    c = _reshape_each(cross.value.array[None], (sx.shape.nstar, sy.shape.nstar))[0]
     r = _standardize(c, sdx, sdy, degx, degy)
-    stddev_x = DenseTensor._wrap(sdx.reshape(sx.shape.dims, order="F"), sx.shape)
-    stddev_y = DenseTensor._wrap(sdy.reshape(sy.shape.dims, order="F"), sy.shape)
-    if sx.shape == sy.shape:
-        value: Union[SquareTensor, DenseTensor] = unmatricize(r, sx.shape)
-    else:
-        value = DenseTensor._wrap(
-            r.reshape(sx.shape.dims + sy.shape.dims, order="F"),
-            Shape(sx.shape.dims + sy.shape.dims),
-        )
-    return CrossCorrTensor(value=value, stddev_x=stddev_x, stddev_y=stddev_y)
+    stddev_x, stddev_y = DenseTensor._wrap(sdx, sx.shape), DenseTensor._wrap(sdy, sy.shape)
+    return CrossCorrTensor(value=_pair(r, sx.shape, sy.shape), stddev_x=stddev_x, stddev_y=stddev_y)

@@ -8,7 +8,11 @@ index blocks share the same dimension lengths reshapes to an
 block and whose columns enumerate the second block, both in the same
 column-major order.  Determinants, covariance tensors and densities built
 downstream are mutually consistent only because these two maps share the
-convention, so it is fixed here once and never re-derived.
+convention, so it is fixed here once and never re-derived: in ``_wrap``
+(entries to a tensor), ``_pair`` (results over two tensors' cells),
+``_row_blocks`` (vec rows to multi-index views) and ``_reshape_each``
+(stacks).  The Kronecker operator ``distributions._along_modes`` keeps its
+own reversed view, because its fibre order fixes sample and density bits.
 
 D=1 is fully supported (tensors are vectors, square tensors are matrices),
 which makes the classical matrix and multivariate results special cases of
@@ -119,34 +123,40 @@ class _Tensor:
 
     __slots__ = ("_array", "_shape")
     _shape_label = "shape"
+    # Index blocks of the stored array: its dims are the Shape's, repeated.
+    _index_blocks = 1
 
     @classmethod
-    def _wrap(cls, array: np.ndarray, shape: Shape):
-        # Internal, unvalidated: the one place an array is made F-order float64.
+    def _wrap(cls, values, shape: Shape):
+        # Internal, unvalidated: adopt column-major entries, as a view when it can.
         t = object.__new__(cls)
-        t._adopt(np.asfortranarray(array, dtype=np.float64), shape)
+        t._adopt(values, shape)
         return t
 
-    def _adopt(self, array: np.ndarray, shape: Shape) -> None:
+    def _adopt(self, values, shape: Shape) -> None:
+        # The one place column-major entries, held as the flat vec, a square
+        # tensor's matricization or the multi-index array, become F-order.
+        dims = shape.dims * self._index_blocks
+        array = np.asfortranarray(np.reshape(values, dims, order="F"), dtype=np.float64)
         array.flags.writeable = False
         self._array = array
         self._shape = shape
 
-    def _adopt_flat(self, data, shape: Shape, dims: tuple[int, ...], hint: str) -> None:
+    def _adopt_flat(self, data, shape: Shape, hint: str) -> None:
         # Constructor body: copy flat column-major data, validate, adopt.
         flat = np.array(data, dtype=np.float64, copy=True)
         if flat.ndim != 1:
             raise ShapeError(
                 f"data must be a flat sequence, got {flat.ndim} dimensions; use {hint}"
             )
-        expected = math.prod(dims)
+        expected = shape.nstar ** self._index_blocks
         if flat.size != expected:
             raise ShapeError(
                 f"data length {flat.size} does not match {self._shape_label} {shape} "
                 f"(expected {expected} entries)"
             )
         _require_finite(flat)
-        self._adopt(flat.reshape(dims, order="F"), shape)
+        self._adopt(flat, shape)
 
     @property
     def array(self) -> np.ndarray:
@@ -157,6 +167,11 @@ class _Tensor:
     def data(self) -> np.ndarray:
         """Read-only column-major flat view of the entries."""
         return self._array.reshape(-1, order="F")
+
+    @property
+    def order(self) -> int:
+        """Number of indices: D for a tensor, 2D for a square tensor."""
+        return self._array.ndim
 
     def __getitem__(self, index):
         return self._array[index]
@@ -212,7 +227,7 @@ class DenseTensor(_Tensor):
 
     def __init__(self, data, shape: ShapeLike):
         shape = as_shape(shape)
-        self._adopt_flat(data, shape, shape.dims, "from_array for multi-dimensional input")
+        self._adopt_flat(data, shape, "from_array for multi-dimensional input")
 
     @classmethod
     def from_array(cls, array) -> "DenseTensor":
@@ -233,10 +248,6 @@ class DenseTensor(_Tensor):
     def shape(self) -> Shape:
         """Dimension lengths (read-only)."""
         return self._shape
-
-    @property
-    def order(self) -> int:
-        return self.shape.order
 
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self.shape})"
@@ -259,19 +270,17 @@ class SquareTensor(_Tensor):
 
     __slots__ = ()
     _shape_label = "row shape"
+    _index_blocks = 2
 
     def __init__(self, data, row_shape: ShapeLike):
         row_shape = as_shape(row_shape)
-        self._adopt_flat(
-            data, row_shape, row_shape.dims * 2,
-            "from_array or from_matrix for structured input",
-        )
+        self._adopt_flat(data, row_shape, "from_array or from_matrix for structured input")
 
     @classmethod
     def from_matrix(cls, matrix, row_shape: ShapeLike) -> "SquareTensor":
         """Build from an ``nstar x nstar`` matrix in the shared convention."""
         row_shape = as_shape(row_shape)
-        # One column-major copy, so the reshape below is a view of it.
+        # One column-major copy, so the tensor is a view of it.
         m = np.array(matrix, dtype=np.float64, order="F", copy=True)
         n = row_shape.nstar
         if m.shape != (n, n):
@@ -280,7 +289,7 @@ class SquareTensor(_Tensor):
                 f"(expected {n} x {n})"
             )
         _require_finite(m)
-        return cls._wrap(_unmatricize_stack(m[None], row_shape)[0], row_shape)
+        return cls._wrap(m, row_shape)
 
     @classmethod
     def from_array(cls, array) -> "SquareTensor":
@@ -313,11 +322,6 @@ class SquareTensor(_Tensor):
         """Dimension lengths shared by both index blocks (read-only)."""
         return self._shape
 
-    @property
-    def order(self) -> int:
-        """Full tensor order, i.e. 2D."""
-        return 2 * self.row_shape.order
-
     def __repr__(self) -> str:
         return f"SquareTensor(row_shape={self.row_shape})"
 
@@ -342,6 +346,14 @@ def _reshape_each(stack: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     by_element = np.asfortranarray(stack.transpose(tuple(range(1, last + 1)) + (0,)))
     reshaped = by_element.reshape(dims + (len(stack),), order="F")
     return reshaped.transpose((len(dims),) + tuple(range(len(dims))))
+
+
+def _row_blocks(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    # (G, N, nstar) stacked vec rows as (G, N, n1, .., nD) multi-index views:
+    # a column-major vec read C-order is the observation with modes reversed.
+    d = shape.order
+    by_cell = rows.reshape(rows.shape[:2] + shape.dims[::-1])
+    return np.transpose(by_cell, (0, 1) + tuple(range(d + 1, 1, -1)))
 
 
 def _matricize_stack(arrays: np.ndarray, row_shape: Shape) -> np.ndarray:
@@ -407,10 +419,15 @@ def outer(a: DenseTensor, b: DenseTensor) -> Union[SquareTensor, DenseTensor]:
     Returns a :class:`SquareTensor` when the factors share a shape and an
     order-2D :class:`DenseTensor` with the concatenated shape otherwise.
     """
-    prod = np.multiply.outer(a.array, b.array)
-    if a.shape == b.shape:
-        return SquareTensor._wrap(prod, a.shape)
-    return DenseTensor._wrap(prod, Shape(a.shape.dims + b.shape.dims))
+    return _pair(np.multiply.outer(a.array, b.array), a.shape, b.shape)
+
+
+def _pair(values, shape_x: Shape, shape_y: Shape) -> Union[SquareTensor, DenseTensor]:
+    # Column-major entries indexed by a cell of x and a cell of y: square
+    # when the shapes agree, else order-2D dense with the concatenated shape.
+    if shape_x == shape_y:
+        return SquareTensor._wrap(values, shape_x)
+    return DenseTensor._wrap(values, Shape(shape_x.dims + shape_y.dims))
 
 
 def _contract_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -78,6 +78,8 @@ AnyTensor = Union[DenseTensor, SquareTensor]
 # a file is split only where each chunk gets at least this many (at 2x2,
 # 8192 rows).
 _MIN_CHUNK_VALUES = 1 << 15
+# The exit status of a forked child whose work gave None.
+_GAVE_NONE = 2
 
 
 def _read_bytes(path: str) -> bytes:
@@ -124,17 +126,10 @@ def _require_shape(dims) -> Shape:
 def tensor_to_obj(t: AnyTensor) -> dict:
     """JSON-ready dict for a tensor, with column-major data."""
     if isinstance(t, SquareTensor):
-        return {
-            "kind": "square2d",
-            "rowShape": list(t.row_shape.dims),
-            "shape": list(t.row_shape.dims) * 2,
-            "data": t.data.tolist(),
-        }
-    return {
-        "kind": "tensor",
-        "shape": list(t.shape.dims),
-        "data": t.data.tolist(),
-    }
+        head = {"kind": "square2d", "rowShape": list(t.row_shape.dims)}
+    else:
+        head = {"kind": "tensor"}
+    return {**head, "shape": list(t.array.shape), "data": t.data.tolist()}
 
 
 def _tensor_fields(obj) -> tuple[str, Shape, list]:
@@ -250,8 +245,7 @@ def read_tensor(path: str) -> AnyTensor:
     """
     raw = _read_bytes(path)
     if raw.startswith(MAGIC):
-        (values,), shape = _read_binary(raw, counted=False)
-        return DenseTensor._wrap(values.reshape(shape.dims, order="F"), shape)
+        return DenseTensor._wrap(*_read_binary(raw, counted=False))
     return tensor_from_obj(_parse_json(raw))
 
 
@@ -311,7 +305,7 @@ def _split_rows(rows: np.ndarray) -> list:
 
 def _fork(work: Callable, part):
     # A child that sends work(part) through a pipe and ends with os._exit:
-    # status 0 when it sent bytes, 1 when work gave None or raised.
+    # status 0 when it sent bytes, _GAVE_NONE for None, 1 when it raised.
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -319,7 +313,9 @@ def _fork(work: Callable, part):
         try:
             os.close(read_end)
             out = work(part)
-            if out is not None:
+            if out is None:
+                status = _GAVE_NONE
+            else:
                 with os.fdopen(write_end, "wb") as pipe:
                     pipe.write(out)
                 status = 0
@@ -334,8 +330,9 @@ def _on_every_core(work: Callable, parts: list) -> list:
 
     ``work`` returns bytes, or None for a part it cannot do.  The parent
     does the first part while the children do the rest; it then reads the
-    children's bytes in order, and does the part of a child that failed
-    itself.  Every child is reaped, also when the parent raises.
+    children's results in order.  A child's None is final; the part of a
+    child that raised, the parent does itself.  Every child is reaped,
+    also when the parent raises.
     """
     pending = []
     try:
@@ -346,9 +343,9 @@ def _on_every_core(work: Callable, parts: list) -> list:
             pid, pipe = pending[0]
             data = pipe.read()
             pipe.close()
-            _, status = os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pending.pop(0)
-            results.append(data if status == 0 else work(part))
+            results.append(None if code == _GAVE_NONE else work(part) if code else data)
         return results
     finally:
         for pid, pipe in pending:

@@ -79,6 +79,14 @@ class TestRngSeed:
             RngSeed(2**64)
         with pytest.raises(ValueError):
             RngSeed(0, -1)
+        for seed, stream in [(1.5, 0), (1, 0.9), ("7", 0), (True, 0), (1, False), (None, 0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                RngSeed(seed, stream)
+
+    def test_numpy_integers_are_plain_ints(self):
+        s = RngSeed(np.uint64(7), np.int32(1))
+        assert s == RngSeed(7, 1)
+        assert type(s.seed) is int and type(s.stream) is int
 
 
 class TestKernels:

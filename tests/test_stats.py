@@ -406,6 +406,23 @@ class TestCrossCorrelation:
         assert r.value.shape == Shape((2, 3))
         assert np.abs(r.value.array).max() <= 1.0 + 1e-12
 
+    def test_rectangular_matches_corrcoef_column_major(self):
+        rng = np.random.default_rng(56)
+        sx = random_set(rng, (2, 3), 40)
+        sy = random_set(rng, (3,), 40)
+        r = cross_correlation(sx, sy)
+        assert isinstance(r.value, DenseTensor)
+        assert r.value.shape == Shape((2, 3, 3))
+        ref = np.corrcoef(sx.to_matrix(), sy.to_matrix(), rowvar=False)[:6, 6:]
+        np.testing.assert_allclose(
+            r.value.array, ref.reshape((2, 3, 3), order="F"), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            r.stddev_x.array, sx.to_matrix().std(axis=0).reshape((2, 3), order="F"),
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(r.stddev_y.array, sy.to_matrix().std(axis=0), rtol=1e-12)
+
     def test_degenerate_names_argument_and_cell(self):
         sx = make_set([[0.0], [2.0]], (1,))
         sy = make_set([[5.0], [5.0]], (1,))

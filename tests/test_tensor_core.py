@@ -13,6 +13,7 @@ from tensorstat.tensor_core import (
     DenseTensor,
     Shape,
     SquareTensor,
+    _pair,
     add,
     contract_product,
     double_dot_quadratic,
@@ -338,6 +339,53 @@ class TestOuter:
         np.testing.assert_array_equal(
             res.data.reshape((2, 3), order="F"), np.outer(vec(a), vec(b))
         )
+
+
+def same_tensor_bits(got, ref):
+    # Kind, shape, layout, read-only flag and every bit of every entry.
+    return (
+        type(got) is type(ref)
+        and got._shape == ref._shape
+        and got.array.shape == ref.array.shape
+        and got.array.flags.f_contiguous
+        and not got.array.flags.writeable
+        and got.array.tobytes(order="F") == ref.array.tobytes(order="F")
+    )
+
+
+WRAP_SHAPES = [(3,), (2, 3), (3, 1, 2)]
+
+
+class TestWrap:
+    # _wrap takes column-major entries in any shape that holds them.
+
+    @pytest.mark.parametrize("dims", WRAP_SHAPES)
+    def test_dense_from_vec_or_multi_index_array(self, dims):
+        rng = np.random.default_rng(len(dims))
+        ref = DenseTensor(rng.standard_normal(int(np.prod(dims))), dims)
+        for values in (vec(ref), ref.array, np.ascontiguousarray(ref.array)):
+            assert same_tensor_bits(DenseTensor._wrap(values, ref.shape), ref)
+
+    @pytest.mark.parametrize("dims", WRAP_SHAPES)
+    def test_square_from_vec_matricization_or_multi_index_array(self, dims):
+        rng = np.random.default_rng(10 + len(dims))
+        n = int(np.prod(dims))
+        ref = SquareTensor(rng.standard_normal(n * n), dims)
+        layouts = (vec(ref), matricize(ref), np.ascontiguousarray(matricize(ref)),
+                   ref.array, np.ascontiguousarray(ref.array))
+        for values in layouts:
+            assert same_tensor_bits(SquareTensor._wrap(values, ref.row_shape), ref)
+        assert same_tensor_bits(SquareTensor.from_matrix(matricize(ref), dims), ref)
+
+    @pytest.mark.parametrize("dims_x, dims_y", [
+        ((2,), (2,)), ((2, 3), (2, 3)), ((2,), (3,)), ((2, 3), (3,)), ((3,), (3, 1, 2)),
+    ])
+    def test_pair_gives_outers_kind_and_shape(self, dims_x, dims_y):
+        rng = np.random.default_rng(len(dims_x) + 3 * len(dims_y))
+        a, b = random_dense(rng, dims_x), random_dense(rng, dims_y)
+        ref = outer(a, b)
+        assert same_tensor_bits(_pair(np.outer(vec(a), vec(b)), a.shape, b.shape), ref)
+        assert same_tensor_bits(_pair(ref.array, a.shape, b.shape), ref)
 
 
 class TestContractProduct:

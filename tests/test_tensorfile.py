@@ -640,6 +640,22 @@ class TestJsonSampleChunks:
         assert outcome == read_outcome(str(path), general_only=True)
         assert no_child_left()
 
+    def test_a_childs_mismatch_is_not_parsed_again(self, tmp_path, monkeypatch, chunked):
+        # The bad entry is in the last child's chunk.  A child's calls land
+        # in its own copy of the list, so only the parent's are counted.
+        raw = self.LONG.replace("[9.25", "[true", 1).encode()
+        calls = []
+        exact = tensorfile._parse_observations
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(tensorfile, "_parse_observations", counted)
+        assert tensorfile._template_sample_rows(raw) is None
+        assert len(calls) == 1
+        assert no_child_left()
+
     @settings(max_examples=100, deadline=None, suppress_health_check=FUZZ_FILE)
     @given(
         edits=st.lists(
@@ -691,8 +707,8 @@ class TestJsonSampleChunks:
             with pytest.raises(RuntimeError, match="chunk failed"):
                 run()
         else:
-            # A failed child's chunk is formatted by the parent; a failed
-            # parse goes to the general reader.  Either way the result holds.
+            # The parent redoes the chunk of a child that raised, so the
+            # write and the read both finish on the chunked path.
             back = run()
             if codec == "read":
                 assert back.to_matrix().tobytes() == rows.tobytes()
