@@ -5,140 +5,24 @@ Dense tensor linear algebra through one fixed column-major matricization
 covariance and correlation tensors, and tensor normal / elliptical
 distributions with density evaluation, sampling, moment fitting and a
 Kronecker-structured scale parameterization.
+
+A name is public when its module's ``__all__`` lists it; the package
+re-exports those lists, in layer order, as its own ``__all__``.
 """
 
-from .errors import (
-    DefinitenessError,
-    DegenerateVarianceError,
-    FileFormatError,
-    ShapeError,
-    SingularTensorError,
-    SymmetryError,
-    TensorStatError,
-    UnsupportedKernelError,
-)
-from .tensor_core import (
-    DenseTensor,
-    Shape,
-    SquareTensor,
-    add,
-    as_shape,
-    contract_product,
-    double_dot_quadratic,
-    matricize,
-    outer,
-    scale,
-    transpose2d,
-    unmatricize,
-    vec,
-)
-from .linalg import (
-    CholeskyFactor,
-    KroneckerFactors,
-    cholesky,
-    det,
-    inverse,
-    is_positive_definite,
-    is_symmetric,
-    kronecker_assemble,
-    slogdet,
-)
-from .stats import (
-    CorrTensor,
-    CovTensor,
-    CrossCorrTensor,
-    CrossCovTensor,
-    SampleSet,
-    correlation,
-    covariance,
-    covariance_of_vec,
-    cross_correlation,
-    cross_covariance,
-    mean_tensor,
-)
-from .distributions import (
-    EllipticalParams,
-    EquivalenceReport,
-    NormalKernel,
-    RadialKernel,
-    RngSeed,
-    StudentKernel,
-    TensorNormalParams,
-    elliptical_density,
-    elliptical_log_density,
-    elliptical_log_density_batch,
-    elliptical_sample,
-    fit_normal,
-    kernel_from_spec,
-    kronecker_equivalence_check,
-    normal_density,
-    normal_log_density,
-    normal_log_density_batch,
-    normal_log_density_vec_oracle,
-    normal_sample,
-)
+from . import errors, tensor_core, linalg, stats, distributions
+from .errors import *
+from .tensor_core import *
+from .linalg import *
+from .stats import *
+from .distributions import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TensorStatError",
-    "ShapeError",
-    "SingularTensorError",
-    "SymmetryError",
-    "DefinitenessError",
-    "DegenerateVarianceError",
-    "UnsupportedKernelError",
-    "FileFormatError",
-    "Shape",
-    "DenseTensor",
-    "SquareTensor",
-    "as_shape",
-    "vec",
-    "matricize",
-    "unmatricize",
-    "transpose2d",
-    "add",
-    "scale",
-    "outer",
-    "contract_product",
-    "double_dot_quadratic",
-    "CholeskyFactor",
-    "KroneckerFactors",
-    "det",
-    "slogdet",
-    "inverse",
-    "cholesky",
-    "kronecker_assemble",
-    "is_symmetric",
-    "is_positive_definite",
-    "SampleSet",
-    "CovTensor",
-    "CrossCovTensor",
-    "CorrTensor",
-    "CrossCorrTensor",
-    "mean_tensor",
-    "covariance",
-    "cross_covariance",
-    "correlation",
-    "cross_correlation",
-    "covariance_of_vec",
-    "RngSeed",
-    "RadialKernel",
-    "NormalKernel",
-    "StudentKernel",
-    "kernel_from_spec",
-    "TensorNormalParams",
-    "EllipticalParams",
-    "EquivalenceReport",
-    "normal_log_density",
-    "normal_log_density_vec_oracle",
-    "normal_log_density_batch",
-    "normal_density",
-    "normal_sample",
-    "elliptical_log_density",
-    "elliptical_log_density_batch",
-    "elliptical_density",
-    "elliptical_sample",
-    "fit_normal",
-    "kronecker_equivalence_check",
+    *errors.__all__,
+    *tensor_core.__all__,
+    *linalg.__all__,
+    *stats.__all__,
+    *distributions.__all__,
 ]

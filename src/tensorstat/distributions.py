@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Union
@@ -56,7 +57,6 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "ScaleSpec",
     "RngSeed",
     "RadialKernel",
     "NormalKernel",
@@ -200,7 +200,12 @@ class StudentKernel(RadialKernel):
 
     def __post_init__(self) -> None:
         # Infinite nu would be the normal kernel, but its normalizer is
-        # inf - inf here; ask for the normal kernel instead.
+        # inf - inf here; ask for the normal kernel instead.  A bool is
+        # refused by name, since True would read as nu = 1.
+        if isinstance(self.nu, bool) or not isinstance(self.nu, numbers.Real):
+            raise UnsupportedKernelError(
+                f"student kernel requires a real number nu, got {type(self.nu).__name__}"
+            )
         if not (self.nu > 0 and math.isfinite(self.nu)):
             raise UnsupportedKernelError(
                 f"student kernel requires finite nu > 0, got {self.nu!r}"
@@ -267,10 +272,11 @@ class EllipticalParams:
     The log-determinant is ``sum_k (nstar / n_k) 2 sum log diag L_k``, and
     draws and quadratic forms apply the factors one mode at a time to
     ``(N, nstar)`` row blocks of vectorized tensors (:meth:`_along_modes`),
-    so a Kronecker scale never forms the ``nstar x nstar`` matricization; that
-    matrix and its Cholesky factor (:attr:`scale_matrix`,
-    :attr:`scale_tensor`, :attr:`chol`: the vec-space oracle) are built on
-    first use and cached.  The :attr:`log_normalizer` already includes the
+    so a Kronecker scale never forms the ``nstar x nstar`` matricization.
+    That matrix (:attr:`scale_matrix`, seen as :attr:`scale_tensor`; the
+    vec-space oracle reads it) and its Cholesky factor :attr:`chol`, the
+    Kronecker product of the per-mode lower factors, are built on first use
+    and cached.  The :attr:`log_normalizer` already includes the
     determinant factor of the scale, so the kernel's ``log_g`` sees only
     the quadratic form.  Instances are frozen: no attribute, cached or
     not, can be assigned after construction.
@@ -381,6 +387,8 @@ def _solve_lower(low: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _point_rows(p: EllipticalParams, x: DenseTensor) -> np.ndarray:
+    if not isinstance(x, DenseTensor):
+        raise TypeError(f"point must be a DenseTensor, got {type(x).__name__}")
     if x.shape != p.location.shape:
         raise ShapeError(
             f"point shape {x.shape} does not match parameter shape {p.location.shape}"
@@ -581,6 +589,8 @@ def kronecker_equivalence_check(
         raise ShapeError(
             f"parameter shapes {dense.shape} and {structured.shape} do not match"
         )
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
     points = normal_sample(dense, seed, probes).to_matrix()
     devs = np.abs(
         normal_log_density_batch(dense, points) - normal_log_density_batch(structured, points)

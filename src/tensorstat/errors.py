@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TensorStatError",
+    "ShapeError",
+    "SingularTensorError",
+    "SymmetryError",
+    "DefinitenessError",
+    "DegenerateVarianceError",
+    "UnsupportedKernelError",
+    "FileFormatError",
+]
+
 
 class TensorStatError(Exception):
     """Base class for every error raised by this package."""

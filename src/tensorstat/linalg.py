@@ -20,15 +20,12 @@ from .errors import DefinitenessError, ShapeError, SingularTensorError, Symmetry
 from .tensor_core import Shape, SquareTensor, _require_finite, matricize, unmatricize
 
 __all__ = [
-    "RCOND_LIMIT",
-    "SYMMETRY_TOL",
     "CholeskyFactor",
     "KroneckerFactors",
     "det",
     "slogdet",
     "inverse",
     "cholesky",
-    "cholesky_lower",
     "kronecker_assemble",
     "is_symmetric",
     "is_positive_definite",

@@ -46,7 +46,6 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "NORMALIZATIONS",
     "SampleSet",
     "CovTensor",
     "CrossCovTensor",

@@ -113,6 +113,23 @@ class TestKernels:
         with pytest.raises(UnsupportedKernelError, match="finite nu"):
             StudentKernel(nu=nu)
 
+    @pytest.mark.parametrize("nu", [True, False, "5", None, 1j, [5.0]])
+    def test_student_requires_real_nu(self, nu):
+        with pytest.raises(UnsupportedKernelError, match="real number nu"):
+            StudentKernel(nu=nu)
+
+    @pytest.mark.parametrize("nu", [5, np.float64(5.0), np.int64(5)])
+    def test_student_accepts_real_numbers(self, nu):
+        assert StudentKernel(nu=nu).nu == 5
+
+    def test_normal_radius_is_chi_distributed(self):
+        # r**2 is chi-square(nstar): mean nstar, variance 2 nstar.
+        nstar, count = 6, 4000
+        r = NormalKernel().sample_radius(np.random.default_rng(12), nstar, count)
+        assert r.shape == (count,)
+        assert (r >= 0).all()
+        assert abs(np.mean(r**2) - nstar) <= 5 * math.sqrt(2 * nstar / count)
+
     def test_covariance_scale(self):
         assert NormalKernel().covariance_scale(4) == 1.0
         assert StudentKernel(nu=5.0).covariance_scale(4) == pytest.approx(5.0 / 3.0)
@@ -324,6 +341,22 @@ class TestNormalDensity:
         p = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
         with pytest.raises(ShapeError):
             normal_log_density(p, DenseTensor.zeros((3,)))
+
+    @pytest.mark.parametrize(
+        "density",
+        [normal_log_density, elliptical_log_density, normal_density, elliptical_density,
+         normal_log_density_vec_oracle],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "point",
+        [SquareTensor.identity((2,)), np.zeros(2), [0.0, 0.0]],
+        ids=["square", "ndarray", "list"],
+    )
+    def test_point_must_be_a_dense_tensor(self, density, point):
+        p = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
+        with pytest.raises(TypeError, match="^point must be a DenseTensor, got "):
+            density(p, point)
 
     def test_affine_sanity_doubling_scale(self):
         rng = np.random.default_rng(67)
@@ -659,6 +692,13 @@ class TestKroneckerEquivalence:
         b = TensorNormalParams(DenseTensor.zeros((3,)), SquareTensor.identity((3,)))
         with pytest.raises(ShapeError):
             kronecker_equivalence_check(a, b)
+
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_needs_a_probe(self, probes):
+        # No probe would compare nothing and still report a pass.
+        p = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
+        with pytest.raises(ValueError, match="probes must be at least 1"):
+            kronecker_equivalence_check(p, p, probes=probes)
 
     def test_elliptical_kronecker_matches_dense(self):
         # same assembly path backs the elliptical family

@@ -148,6 +148,19 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance(s, "bogus")
 
+    def test_mle_needs_one(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            covariance(SampleSet(shape=Shape((2,)), observations=()), "mle")
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [([[1.0, 0.5], [0.0, 1.0]], "symmetric"), ([[1.0, 2.0], [2.0, 1.0]], "semidefinite")],
+        ids=["asymmetric", "indefinite"],
+    )
+    def test_cov_tensor_refuses_a_non_covariance(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            stats.CovTensor(value=SquareTensor.from_matrix(m, (2,)), normalization="mle")
+
     @pytest.mark.parametrize(
         "estimator",
         [
@@ -344,6 +357,17 @@ class TestCovarianceOfVec:
         s = random_set(rng, (3,), 10)
         ref = np.cov(s.to_matrix(), rowvar=False, ddof=1)
         np.testing.assert_allclose(covariance_of_vec(s), ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [lambda s, mode: correlation(s, mode), lambda s, mode: cross_correlation(s, s, mode)],
+    ids=["corr", "crosscorr"],
+)
+def test_unknown_on_degenerate_is_refused(estimator):
+    s = make_set([[0.0], [2.0]], (1,))
+    with pytest.raises(ValueError, match="on_degenerate must be"):
+        estimator(s, "bogus")
 
 
 class TestCorrelation:

@@ -188,6 +188,7 @@ class TestVec:
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
         t = DenseTensor.from_array(np.array([[a, c], [b, d]]))
         np.testing.assert_array_equal(vec(t), [a, b, c, d])
+        assert (t[0, 0], t[1, 0], t[0, 1], t[1, 1]) == (a, b, c, d)
 
     def test_zeros(self):
         np.testing.assert_array_equal(vec(DenseTensor.zeros((2, 3))), np.zeros(6))
@@ -229,7 +230,7 @@ class TestMatricize:
             for c in range(6):
                 ri = np.unravel_index(r, dims, order="F")
                 ci = np.unravel_index(c, dims, order="F")
-                assert m[r, c] == x.array[ri + ci]
+                assert m[r, c] == x.array[ri + ci] == x[ri + ci]
 
 
 class TestUnmatricize:

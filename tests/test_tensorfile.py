@@ -490,6 +490,7 @@ class TestJsonSampleTemplate:
             ("]}\n", "]}"),                          # other whitespace
             ("]}\n", "]} \n\n"),
             ("]}\n", "]}\x0c"),                     # not JSON whitespace
+            ("[1.5", "[\udcff1.5"),                  # byte 0xff: not UTF-8
             ("[1.5, -2.0]", "[1.5,-2.0]"),
             ("}, {", "},{"),
             ('{"kind": "samples", ', '{ "kind": "samples", '),
@@ -503,7 +504,7 @@ class TestJsonSampleTemplate:
     def test_named_mutations_match_the_general_parse(self, tmp_path, old, new):
         assert old in self.CANONICAL
         path = tmp_path / "s.json"
-        path.write_text(self.CANONICAL.replace(old, new, 1))
+        path.write_bytes(self.CANONICAL.replace(old, new, 1).encode("utf-8", "surrogateescape"))
         assert read_outcome(str(path)) == read_outcome(str(path), general_only=True)
 
     @pytest.mark.parametrize("bad", ['"1.5"', "true", "false", "null"])
@@ -752,6 +753,16 @@ class TestParamsFiles:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"location": tensor_to_obj(DenseTensor([1.0], (1,)))}))
         with pytest.raises(FileFormatError):
+            read_params(str(path))
+
+    @pytest.mark.parametrize("factors", [[], None, "x"])
+    def test_kronecker_needs_a_list_of_factors(self, tmp_path, factors):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "location": tensor_to_obj(DenseTensor([1.0], (1,))),
+            "scale": {"kind": "kronecker", "factors": factors},
+        }))
+        with pytest.raises(FileFormatError, match="non-empty 'factors' list"):
             read_params(str(path))
 
     def test_scale_must_be_square_or_kronecker(self, tmp_path):
