@@ -51,7 +51,7 @@ from .linalg import (
     kronecker_cholesky,
     symmetric_part,
 )
-from .stats import SampleSet, cross_covariance, mean_tensor
+from .stats import SampleSet, _set_rows, cross_covariance, mean_tensor
 from .tensor_core import (
     DenseTensor, Shape, SquareTensor, _require_finite, matricize, unmatricize, vec
 )
@@ -397,6 +397,11 @@ def _point_rows(p: EllipticalParams, x: DenseTensor) -> np.ndarray:
 
 
 def _batch_rows(p: EllipticalParams, points) -> np.ndarray:
+    if isinstance(points, (DenseTensor, SquareTensor)):
+        raise TypeError(
+            f"points must be an (N, {p.nstar}) array whose rows are vec of each point, "
+            f"got a {type(points).__name__}"
+        )
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != p.nstar:
         raise ShapeError(f"points must have shape (N, {p.nstar}), got {pts.shape}")
@@ -476,6 +481,8 @@ def normal_density(p: EllipticalParams, x: DenseTensor) -> float:
 
 def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int) -> SampleSet:
     # location + W L^T, with W the kernel's standardized draws.
+    if not isinstance(seed, RngSeed):
+        raise TypeError(f"seed must be an RngSeed, got {type(seed).__name__}")
     if count < 0:
         raise ValueError("count must be non-negative")
     w = kernel._standard_draws(seed.generator(), p.nstar, count)
@@ -548,7 +555,7 @@ def fit_normal(s: SampleSet, normalization: str = "unbiased") -> TensorNormalPar
     Never regularizes silently: a rank-deficient sample covariance raises
     a :class:`DefinitenessError` suggesting an explicit ridge instead.
     """
-    if len(s) < 2:
+    if len(_set_rows(s)) < 2:
         raise ValueError("fitting requires at least two observations")
     loc = mean_tensor(s)
     cov = cross_covariance(s, s, normalization).value
@@ -591,6 +598,9 @@ def kronecker_equivalence_check(
         )
     if probes < 1:
         raise ValueError(f"probes must be at least 1, got {probes}")
+    # A NaN tolerance would fail every comparison, a negative one any.
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance!r}")
     points = normal_sample(dense, seed, probes).to_matrix()
     devs = np.abs(
         normal_log_density_batch(dense, points) - normal_log_density_batch(structured, points)

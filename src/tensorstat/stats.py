@@ -220,11 +220,19 @@ class CrossCorrTensor:
     stddev_y: DenseTensor
 
 
+def _set_rows(s: SampleSet) -> np.ndarray:
+    # The N x nstar rows every estimator reads, from a SampleSet only.
+    if not isinstance(s, SampleSet):
+        raise TypeError(f"samples must be a SampleSet, got {type(s).__name__}")
+    return s.to_matrix()
+
+
 def mean_tensor(s: SampleSet) -> DenseTensor:
     """Entrywise arithmetic mean of the observations."""
-    if len(s) == 0:
+    rows = _set_rows(s)
+    if len(rows) == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    return DenseTensor._wrap(s.to_matrix().mean(axis=0), s.shape)
+    return DenseTensor._wrap(rows.mean(axis=0), s.shape)
 
 
 def _denominator(n: int, normalization: str) -> float:
@@ -292,15 +300,14 @@ def cross_covariance(
     observations take one contraction, symmetrized the same way, so
     ``cross_covariance(s, s)`` equals ``covariance(s)`` bit-for-bit.
     """
-    if len(sx) != len(sy):
+    rx, ry = _set_rows(sx), _set_rows(sy)
+    if len(rx) != len(ry):
         raise ValueError(
-            f"sample sets must pair positionally, got {len(sx)} and {len(sy)} observations"
+            f"sample sets must pair positionally, got {len(rx)} and {len(ry)} observations"
         )
-    rx = sx.to_matrix()[None]
-    same = sx is sy or (
-        sx.shape == sy.shape and np.array_equal(sx.to_matrix(), sy.to_matrix())
-    )
-    ry = rx if same else sy.to_matrix()[None]
+    same = sx is sy or (sx.shape == sy.shape and np.array_equal(rx, ry))
+    rx = rx[None]
+    ry = rx if same else ry[None]
     acc = _cross_covariances(rx, ry, sx.shape, sy.shape, normalization)[0]
     return CrossCovTensor(value=_pair(acc, sx.shape, sy.shape), normalization=normalization)
 
@@ -327,7 +334,7 @@ def covariance_of_vec(s: SampleSet, normalization: str = "unbiased") -> np.ndarr
     ``ValueError`` when the result overflows float64, as :func:`covariance`
     does.
     """
-    return _vec_covariances(s.to_matrix()[None], normalization)[0]
+    return _vec_covariances(_set_rows(s)[None], normalization)[0]
 
 
 def _vec_covariances(rows: np.ndarray, normalization: str) -> np.ndarray:
@@ -346,8 +353,9 @@ def _vec_covariances(rows: np.ndarray, normalization: str) -> np.ndarray:
 def _cell_stddev(s: SampleSet) -> np.ndarray:
     # Per-cell MLE standard deviations, in vec order; exactly zero for
     # constant cells.
-    d = s.to_matrix() - s.to_matrix().mean(axis=0)
-    return np.sqrt((d * d).sum(axis=0) / len(s))
+    rows = _set_rows(s)
+    d = rows - rows.mean(axis=0)
+    return np.sqrt((d * d).sum(axis=0) / len(rows))
 
 
 def _require_on_degenerate(on_degenerate: str) -> None:
@@ -401,7 +409,7 @@ def correlation(s: SampleSet, on_degenerate: str = "error") -> CorrTensor:
     ``"substitute"`` writes 0 off the diagonal and 1 on it.
     """
     _require_on_degenerate(on_degenerate)
-    (r,), (sd,) = _correlations(s.to_matrix()[None], s.shape, on_degenerate)
+    (r,), (sd,) = _correlations(_set_rows(s)[None], s.shape, on_degenerate)
     return CorrTensor(value=unmatricize(r, s.shape), stddev=DenseTensor._wrap(sd, s.shape))
 
 

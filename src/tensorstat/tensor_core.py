@@ -334,6 +334,8 @@ def vec(t: Union[DenseTensor, SquareTensor]) -> np.ndarray:
     so the first index varies fastest.  The map is a bijection; for square
     tensors it is consistent with ``matricize`` by construction.
     """
+    if not isinstance(t, _Tensor):
+        raise TypeError(f"expected a DenseTensor or SquareTensor, got {type(t).__name__}")
     return t.data
 
 
@@ -375,6 +377,8 @@ def matricize(x: SquareTensor) -> np.ndarray:
     ``matricize(x)[r, c] == x[decode(r) + decode(c)]``.  The returned
     array is a read-only view of the tensor's storage.
     """
+    if not isinstance(x, SquareTensor):
+        raise TypeError(f"expected a SquareTensor, got {type(x).__name__}")
     return _matricize_stack(x._array[None], x.row_shape)[0]
 
 

@@ -43,7 +43,6 @@ from .stats import (
     _correlations,
     _cross_covariances,
     _vec_covariances,
-    covariance,
     cross_covariance,
     mean_tensor,
 )
@@ -136,13 +135,12 @@ def _random_matrix(rng: np.random.Generator, shape: Shape) -> np.ndarray:
     return rng.standard_normal((n, n))
 
 
-def _well_conditioned(g1: np.ndarray, g2: np.ndarray, svals: np.ndarray) -> np.ndarray:
-    # Q1 diag(s) Q2 for stacks of _draw_well_conditioned's draws.  Singular
-    # values in [0.5, 2] keep every determinant identity far from
-    # cancellation on the 1e-9 tolerance scale.
-    q1, _ = np.linalg.qr(g1)
-    q2, _ = np.linalg.qr(g2)
-    return np.matmul(q1, svals[:, :, None] * q2)
+def _well_conditioned(g: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    # Q diag(s) for stacks of _draw_well_conditioned's draws, Q the QR factor
+    # of g: Q^T Q = I keeps the singular values exactly s, in [0.5, 2], far
+    # from cancellation on the 1e-9 tolerance scale of every det identity.
+    q, _ = np.linalg.qr(g)
+    return q * svals[:, None, :]
 
 
 def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> np.ndarray:
@@ -212,10 +210,10 @@ def _draw_two_squares(rng, shape, n):
 
 
 def _draw_well_conditioned(rng, shape, n):
-    # The draws behind one well-conditioned matrix: two Gaussian matrices
-    # for the orthogonal factors and the singular values.
+    # The draws behind one well-conditioned matrix: a Gaussian matrix for
+    # the orthogonal factor and the singular values.
     m = shape.nstar
-    return rng.standard_normal((m, m)), rng.standard_normal((m, m)), rng.uniform(0.5, 2.0, size=m)
+    return rng.standard_normal((m, m)), rng.uniform(0.5, 2.0, size=m)
 
 
 def _draw_two_well_conditioned(rng, shape, n):
@@ -300,12 +298,12 @@ def _draw_det_scale(rng, shape, n):
     return x + (float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),)
 
 
-def _det_scale(shape, n, g1, g2, svals, lam):
+def _det_scale(shape, n, g, svals, lam):
     # det(lam X) = lam^nstar det(X), stated on signs and log |det| so that
     # it holds where the determinants leave float64.  The deviation is the
     # relative error of det(lam X), read from the log difference d as
     # |e^d - 1| when the signs agree and e^d + 1 when they do not.
-    x = _well_conditioned(g1, g2, svals)
+    x = _well_conditioned(g, svals)
     sign, log_abs = linalg._slogdets(x)
     got_sign, got_log_abs = linalg._slogdets(lam[:, None, None] * x)
     ref_sign = sign * np.sign(lam) ** shape.nstar
@@ -322,7 +320,7 @@ def _det_transpose(shape, n, *draws):
 
 
 def _det_product(shape, n, *draws):
-    x, y = _well_conditioned(*draws[:3]), _well_conditioned(*draws[3:])
+    x, y = _well_conditioned(*draws[:2]), _well_conditioned(*draws[2:])
     ref = linalg._dets(x) * linalg._dets(y)
     product = _contract_stack(_unmatricize_stack(x, shape), _unmatricize_stack(y, shape))
     return _rel(np.abs(linalg._dets(_matricize_stack(product, shape)) - ref), ref)
@@ -485,7 +483,7 @@ def _moment_recovery_mean(shape, n, seed):
 def _moment_recovery_cov(shape, n, seed):
     p = _pattern_params(shape)
     s = normal_sample(p, RngSeed(int(seed), 0), n)
-    return float(np.abs(covariance(s).value.array - p.scale_tensor.array).max())
+    return float(np.abs(matricize(cross_covariance(s, s).value) - p.scale_matrix).max())
 
 
 def _elliptical_normal(shape, n, loc, scale, x):
@@ -511,8 +509,8 @@ def _elliptical_student_cov(shape, n, seed):
     kernel = StudentKernel(nu=5.0)
     p = EllipticalParams(DenseTensor.zeros(shape), SquareTensor.identity(shape), kernel)
     s = elliptical_sample(p, RngSeed(int(seed), 0), 2 * n)
-    expected = kernel.covariance_scale(shape.nstar) * SquareTensor.identity(shape).array
-    return float(np.abs(covariance(s).value.array - expected).max())
+    expected = kernel.covariance_scale(shape.nstar) * np.eye(shape.nstar)
+    return float(np.abs(matricize(cross_covariance(s, s).value) - expected).max())
 
 
 def _draw_sampling_determinism(rng, shape, n):
@@ -529,7 +527,7 @@ def _sampling_determinism(shape, n, seed, *arrays):
     # scales one mode at a time; both must repeat bit for bit.
     cases = (
         (normal_sample, p),
-        (elliptical_sample, EllipticalParams(p.location, p.scale_tensor, student)),
+        (elliptical_sample, EllipticalParams(p.location, p.scale, student)),
         (elliptical_sample, EllipticalParams(p.location, factors, NormalKernel())),
         (elliptical_sample, EllipticalParams(p.location, factors, student)),
     )

@@ -2,19 +2,22 @@
 
 Runs a fixed matrix of CLI calls in process through ``tensorstat.cli.main``
 and keeps one ledger line per call: its argv (the work directory written as
-``{work}``), its exit code and the sha256 of its stdout, of its stderr and
-of each file it writes.  The ledger opens with the environment (Python,
-numpy, BLAS), because digests that involve a rounded sum depend on the BLAS
-kernel.  Run it from the repository root:
+``{work}``), its exit code and the sha256 of its stdout, of each stdout
+line, of its stderr and of each file it writes.  The ledger opens with the
+environment (Python, numpy, BLAS), because digests that involve a rounded
+sum depend on the BLAS kernel.  Run it from the repository root:
 
     PYTHONPATH=src python tests/contract.py --record DIR
     PYTHONPATH=src python tests/contract.py --compare DIR
 
 ``--record`` writes ``DIR/ledger.jsonl``.  ``--compare`` runs the matrix
 again and prints one line: the calls run, the calls identical and the names
-of any that differ; it exits 1 if any differ.  Compare a change with a
-ledger recorded on the same host, by running ``--record`` on a checkout of
-the parent commit first.  The name keeps pytest from collecting the file.
+of any that differ, each with the stdout lines that moved, as in
+``verify-2x2-100000-1729 (stdout lines 8-11)``; it exits 1 if any differ.
+A ledger recorded without line digests still compares call by call.
+Compare a change with a ledger recorded on the same host, by running
+``--record`` on a checkout of the parent commit first.  The name keeps
+pytest from collecting the file.
 
 The inputs come from ``perfbench.workloads.make_inputs`` (seed 901) at 2x2,
 16x16x4 and 16x16x16, plus dense-scale params made from the covariance
@@ -257,11 +260,13 @@ def run_call(name: str, argv: list[str], outputs: list[str], prepare, work: str)
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("default")
         code = main(argv)
+    stdout = out.getvalue().replace(work, "{work}")
     return {
         "name": name,
         "argv": [a.replace(work, "{work}") for a in argv],
         "exit": code,
-        "stdout": _sha(out.getvalue().replace(work, "{work}").encode()),
+        "stdout": _sha(stdout.encode()),
+        "lines": [_sha(line.encode()) for line in stdout.splitlines()],
         "stderr": _sha(err.getvalue().replace(work, "{work}").encode()),
         "files": [_sha(Path(p).read_bytes()) if os.path.exists(p) else "absent" for p in outputs],
     }
@@ -275,13 +280,43 @@ def ledger() -> list[dict]:
     return lines
 
 
+def _ranges(numbers: list[int]) -> str:
+    # "8-11, 14" for [8, 9, 10, 11, 14].
+    runs = []
+    for k in numbers:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def _difference(before: dict | None, after: dict) -> str | None:
+    # None when the call is identical; else its name, with the 1-based
+    # stdout lines whose digests differ when both lines carry them.  An
+    # old line without line digests compares without them.
+    if before is not None and "lines" not in before:
+        after = {key: value for key, value in after.items() if key != "lines"}
+    if before == after:
+        return None
+    name = after["name"]
+    old, new = (before or {}).get("lines"), after.get("lines")
+    if old is None or new is None:
+        return name
+    moved = [k + 1 for k in range(max(len(old), len(new))) if old[k : k + 1] != new[k : k + 1]]
+    return f"{name} (stdout lines {_ranges(moved)})" if moved else name
+
+
 def compare(old: list[dict], new: list[dict]) -> tuple[int, int, list[str]]:
-    """(calls run, calls identical, names that differ or are missing)."""
+    """(calls run, calls identical, names that differ or are missing).
+
+    A call whose stdout moved is named with the stdout lines that differ.
+    """
     if old[0] != new[0]:
         print(f"note: environments differ: {old[0]} vs {new[0]}", file=sys.stderr)
     before = {line["name"]: line for line in old[1:]}
     after = {line["name"]: line for line in new[1:]}
-    differ = [name for name, line in after.items() if before.get(name) != line]
+    differ = [d for name, line in after.items() if (d := _difference(before.get(name), line))]
     missing = [name for name in before if name not in after]
     return len(after), len(after) - len(differ), differ + missing
 

@@ -700,6 +700,13 @@ class TestKroneckerEquivalence:
         with pytest.raises(ValueError, match="probes must be at least 1"):
             kronecker_equivalence_check(p, p, probes=probes)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-10, -math.inf])
+    def test_needs_a_tolerance_that_can_pass(self, tolerance):
+        # A NaN tolerance fails every comparison and a negative one any.
+        p = TensorNormalParams(DenseTensor.zeros((2,)), SquareTensor.identity((2,)))
+        with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+            kronecker_equivalence_check(p, p, tolerance=tolerance)
+
     def test_elliptical_kronecker_matches_dense(self):
         # same assembly path backs the elliptical family
         rng = np.random.default_rng(80)

@@ -128,15 +128,41 @@ def test_det_scale_holds_beyond_float64_determinants():
     # X = Q diag(1e50) at 4x4: log |det X| = 16 log 1e50, about 1842 > 709,
     # so det(X) is inf and the identity lam^16 det(X) = det(lam X) reads NaN.
     shape = Shape((4, 4))
-    g1 = np.random.default_rng(3).standard_normal((2, 16, 16))
-    g2 = np.stack([np.eye(16)] * 2)
+    g = np.random.default_rng(3).standard_normal((2, 16, 16))
     svals = np.full((2, 16), 1e50)
     lam = np.array([-1.7, 0.6])
-    assert np.isinf(linalg._dets(verify._well_conditioned(g1, g2, svals))).all()
-    deviation = verify._det_scale(shape, 100, g1, g2, svals, lam)
+    assert np.isinf(linalg._dets(verify._well_conditioned(g, svals))).all()
+    deviation = verify._det_scale(shape, 100, g, svals, lam)
     tolerance = verify._CHECKS[verify.CHECK_NAMES.index("det-scale")].tolerance
     assert np.isfinite(deviation).all()
     assert (deviation <= tolerance).all()
+
+
+@pytest.mark.parametrize("nstar", [1, 4, 12])
+def test_well_conditioned_matrices_have_the_drawn_singular_values(nstar):
+    rng = np.random.default_rng(11)
+    draws = [verify._draw_well_conditioned(rng, Shape((nstar,)), 100) for _ in range(3)]
+    g, svals = (np.stack(column) for column in zip(*draws))
+    x = verify._well_conditioned(g, svals)
+    got = np.linalg.svd(x, compute_uv=False)
+    want = -np.sort(-svals, axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert ((svals >= 0.5) & (svals <= 2.0)).all()
+    if nstar >= 2:
+        # det-transpose compares det X with det X^T: X must not be symmetric.
+        assert all(not np.allclose(m, m.T) for m in x)
+
+
+@pytest.mark.parametrize("name", ["moment-recovery-cov", "elliptical-student-covariance"])
+def test_covariance_checks_take_no_eigen_decomposition(monkeypatch, name):
+    # The checks compare a covariance's value; its diagnostics would be
+    # computed and thrown away.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    deviation, _tolerance, _samples = run_one(name)
+    assert 0.0 < deviation < math.inf
 
 
 def test_batches_are_sized_by_bytes_at_16x16():
