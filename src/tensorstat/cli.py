@@ -162,6 +162,8 @@ def _cmd_matricize(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.other is not None and args.kind != "crosscov":
+        raise FileFormatError(f"--other applies only to --kind crosscov, not {args.kind}")
     samples = _read_samples(args.input)
     diagnostics = None
     if args.kind == "cov":
@@ -171,7 +173,7 @@ def _cmd_estimate(args) -> int:
     elif args.kind == "corr":
         result = correlation(samples).value
     else:
-        other = _read_samples(args.other) if args.other else samples
+        other = _read_samples(args.other) if args.other is not None else samples
         result = cross_covariance(samples, other, args.normalization).value
     write_tensor(args.output, result, binary=_binary_output(args.output, args.binary))
     if isinstance(result, SquareTensor):
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--other",
-        help="second sample input for crosscov (defaults to the first input)",
+        help="second sample input, crosscov only (defaults to the first input)",
     )
     p.add_argument("--binary", action="store_true", help="write the binary format")
     p.set_defaults(func=_cmd_estimate)

@@ -386,6 +386,13 @@ def _solve_lower(low: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low, x.T).T
 
 
+def _require_params(p: EllipticalParams, name: str = "params") -> None:
+    # Every density, sampler and comparison refuses a params argument of the
+    # wrong kind before it reads any attribute of it.
+    if not isinstance(p, EllipticalParams):
+        raise TypeError(f"{name} must be an EllipticalParams, got {type(p).__name__}")
+
+
 def _point_rows(p: EllipticalParams, x: DenseTensor) -> np.ndarray:
     if not isinstance(x, DenseTensor):
         raise TypeError(f"point must be a DenseTensor, got {type(x).__name__}")
@@ -443,6 +450,7 @@ def normal_log_density(p: EllipticalParams, x: DenseTensor) -> float:
     ``p``'s kernel, and the one-point case of
     :func:`normal_log_density_batch`.
     """
+    _require_params(p)
     return float(_log_densities(p, NormalKernel(), _point_rows(p, x))[0])
 
 
@@ -454,6 +462,7 @@ def normal_log_density_vec_oracle(p: EllipticalParams, x: DenseTensor) -> float:
     Cholesky factor.  It exists as the independent reference path for the
     contraction-based density and is public for exactly that reason.
     """
+    _require_params(p)
     m = p.scale_matrix
     diff = _point_rows(p, x)[0] - vec(p.location)
     _sign, log_det = np.linalg.slogdet(m)
@@ -471,6 +480,7 @@ def normal_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.ndar
     ``nstar`` (a dense scale): LAPACK solves its lone right-hand side with a
     kernel that can round an ulp apart from the batch's.
     """
+    _require_params(p)
     return _log_densities(p, NormalKernel(), _batch_rows(p, points))
 
 
@@ -506,6 +516,7 @@ def normal_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleSet:
     Deterministic for a given ``(seed, stream)``: identical inputs yield
     bit-identical sample sets.
     """
+    _require_params(p)
     return _sample(p, NormalKernel(), seed, count)
 
 
@@ -514,6 +525,7 @@ def elliptical_log_density(p: EllipticalParams, x: DenseTensor) -> float:
 
     The one-point case of :func:`elliptical_log_density_batch`.
     """
+    _require_params(p)
     return float(_log_densities(p, p.kernel, _point_rows(p, x))[0])
 
 
@@ -524,6 +536,7 @@ def elliptical_log_density_batch(p: EllipticalParams, points: np.ndarray) -> np.
     :func:`normal_log_density_batch` does, and applies ``p``'s kernel to
     the array of quadratic forms.
     """
+    _require_params(p)
     return _log_densities(p, p.kernel, _batch_rows(p, points))
 
 
@@ -546,6 +559,7 @@ def elliptical_sample(p: EllipticalParams, seed: RngSeed, count: int) -> SampleS
     Kernels without a registered sampler raise
     :class:`UnsupportedKernelError`.
     """
+    _require_params(p)
     return _sample(p, p.kernel, seed, count)
 
 
@@ -592,6 +606,8 @@ def kronecker_equivalence_check(
     Probe points are drawn from the dense parameterization; the report
     carries the largest absolute log-density deviation observed.
     """
+    _require_params(dense, "dense")
+    _require_params(structured, "structured")
     if dense.shape != structured.shape:
         raise ShapeError(
             f"parameter shapes {dense.shape} and {structured.shape} do not match"

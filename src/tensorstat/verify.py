@@ -9,10 +9,10 @@ deviation against a fixed tolerance; the report is deterministic given the
 configuration.  A NaN deviation, from any instance of a check, fails it.
 
 Each check draws from its own seed substream, so results do not depend on
-the order checks run in.  A check is a draw of one instance's inputs and an
-evaluation over a stack of instances: ``_run_check`` draws the instances in
-order, in batches bounded in bytes, and evaluates each batch in one call
-through the stacked forms of the library's own routines.
+the order checks run in.  A check names the draws one instance is made of
+and an evaluation over a stack of instances: ``_run_check`` draws the
+instances in order, in batches bounded in bytes, and evaluates each batch in
+one call through the stacked forms of the library's own routines.
 """
 
 from __future__ import annotations
@@ -126,13 +126,7 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# random inputs: a square tensor is drawn as its matricization, a dense
-# tensor as its multi-index array, a sample set as its N x nstar rows
-
-
-def _random_matrix(rng: np.random.Generator, shape: Shape) -> np.ndarray:
-    n = shape.nstar
-    return rng.standard_normal((n, n))
+# helpers that build inputs
 
 
 def _well_conditioned(g: np.ndarray, svals: np.ndarray) -> np.ndarray:
@@ -143,19 +137,15 @@ def _well_conditioned(g: np.ndarray, svals: np.ndarray) -> np.ndarray:
     return q * svals[:, None, :]
 
 
-def _random_spd_matrix(rng: np.random.Generator, n: int, ridge: float = 0.5) -> np.ndarray:
+def _random_spd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    m = a @ a.T / n + ridge * np.eye(n)
+    m = a @ a.T / n + 0.5 * np.eye(n)
     return 0.5 * (m + m.T)
 
 
 def _random_rows(rng: np.random.Generator, shape: Shape, n: int) -> np.ndarray:
     # The same draws, in the same order, as n multi-index arrays, as rows.
     return _reshape_each(rng.standard_normal((n,) + shape.dims), (shape.nstar,))
-
-
-def _random_factors(rng: np.random.Generator, shape: Shape) -> tuple[np.ndarray, ...]:
-    return tuple(_random_spd_matrix(rng, nk) for nk in shape.dims)
 
 
 def _pattern_params(shape: Shape) -> TensorNormalParams:
@@ -201,12 +191,19 @@ def _one_by_one(evaluate_one: Callable) -> Callable:
     return evaluate
 
 
+# ---------------------------------------------------------------------------
+# draws: each returns a tuple of one instance's inputs and is the only code
+# that consumes a check's random stream.  A square tensor is drawn as its
+# matricization, a dense tensor as its multi-index array, a sample set as
+# its N x nstar rows.
+
+
 def _draw_square(rng, shape, n):
-    return (_random_matrix(rng, shape),)
+    return (rng.standard_normal((shape.nstar, shape.nstar)),)
 
 
-def _draw_two_squares(rng, shape, n):
-    return _random_matrix(rng, shape), _random_matrix(rng, shape)
+def _draw_alpha(rng, shape, n):
+    return (float(rng.uniform(-2.0, 2.0)),)
 
 
 def _draw_well_conditioned(rng, shape, n):
@@ -216,8 +213,21 @@ def _draw_well_conditioned(rng, shape, n):
     return rng.standard_normal((m, m)), rng.uniform(0.5, 2.0, size=m)
 
 
-def _draw_two_well_conditioned(rng, shape, n):
-    return _draw_well_conditioned(rng, shape, n) + _draw_well_conditioned(rng, shape, n)
+def _draw_lambda(rng, shape, n):
+    return (float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),)
+
+
+def _draw_spd(rng, shape, n):
+    return (_random_spd_matrix(rng, shape.nstar),)
+
+
+def _draw_factors(rng, shape, n):
+    # One positive definite factor per mode.
+    return tuple(_random_spd_matrix(rng, nk) for nk in shape.dims)
+
+
+def _draw_dense(rng, shape, n):
+    return (rng.standard_normal(shape.dims),)
 
 
 def _draw_sample_set(rng, shape, n):
@@ -242,19 +252,14 @@ def _draw_law_and_point(rng, shape, n):
 
 
 # ---------------------------------------------------------------------------
-# checks: each is a draw of one instance's inputs and an evaluation of a
-# stack of instances that returns one deviation per instance; the table
-# below registers the pair with its tolerance, instance count and what its
-# n= column counts.
+# checks: each evaluates a stack of instances and returns one deviation per
+# instance; the table below registers it with the draws an instance is made
+# of, its tolerance, instance count and what its n= column counts.
 
 
 def _mat_roundtrip(shape, n, x):
     t = _unmatricize_stack(x, shape)
     return _worst(np.abs(_unmatricize_stack(_matricize_stack(t, shape), shape) - t))
-
-
-def _draw_mat_linearity(rng, shape, n):
-    return _random_matrix(rng, shape), _random_matrix(rng, shape), float(rng.uniform(-2.0, 2.0))
 
 
 def _mat_linearity(shape, n, x, y, alpha):
@@ -277,25 +282,12 @@ def _mat_product(shape, n, x, y):
     return _rel(_norms(got - ref), _norms(ref))
 
 
-def _draw_identity(rng, shape, n):
-    return (np.eye(shape.nstar),)
+def _det_identity(shape, n):
+    return np.abs(linalg._dets(np.eye(shape.nstar)[None]) - 1.0)
 
 
-def _draw_zeros(rng, shape, n):
-    return (np.zeros((shape.nstar, shape.nstar)),)
-
-
-def _det_identity(shape, n, x):
-    return np.abs(linalg._dets(x) - 1.0)
-
-
-def _det_zero(shape, n, x):
-    return np.abs(linalg._dets(x))
-
-
-def _draw_det_scale(rng, shape, n):
-    x = _draw_well_conditioned(rng, shape, n)
-    return x + (float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),)
+def _det_zero(shape, n):
+    return np.abs(linalg._dets(np.zeros((1, shape.nstar, shape.nstar))))
 
 
 def _det_scale(shape, n, g, svals, lam):
@@ -332,10 +324,6 @@ def _det_inverse(shape, n, *draws):
     return _rel(np.abs(linalg._dets(linalg._inverses(x)) - ref), ref)
 
 
-def _draw_spd(rng, shape, n):
-    return (_random_spd_matrix(rng, shape.nstar),)
-
-
 def _inverse_contract(shape, n, x):
     t, inv = _unmatricize_stack(x, shape), _unmatricize_stack(linalg._inverses(x), shape)
     eye = _unmatricize_stack(np.eye(shape.nstar)[None], shape)
@@ -343,10 +331,6 @@ def _inverse_contract(shape, n, x):
         _worst(np.abs(_contract_stack(t, inv) - eye)),
         _worst(np.abs(_contract_stack(inv, t) - eye)),
     )
-
-
-def _draw_dense(rng, shape, n):
-    return (rng.standard_normal(shape.dims),)
 
 
 def _kron_mode_scaling(shape, n, a):
@@ -361,23 +345,12 @@ def _kron_mode_scaling(shape, n, a):
     return _rel(np.abs(got - ref), ref)
 
 
-def _draw_kron_quadratic_form(rng, shape, n):
-    return _random_factors(rng, shape) + (rng.standard_normal(shape.dims),)
-
-
 def _kron_quadratic_form(shape, n, *stacks):
     *factors, a = stacks
     assembled = linalg._kron_stack(factors)
     ref = _quadratic(_reshape_each(a, (shape.nstar,)), assembled)
     got = _double_dot_stack(a, _unmatricize_stack(assembled, shape), a)
     return _rel(np.abs(got - ref), ref)
-
-
-def _draw_kron_equivalence(rng, shape, n):
-    return _random_factors(rng, shape) + (
-        rng.standard_normal(shape.dims),
-        int(rng.integers(2**63)),
-    )
 
 
 @_one_by_one
@@ -450,16 +423,12 @@ def _density_equivalence(shape, n, loc, scale, x):
     return abs(normal_log_density(p, point) - normal_log_density_vec_oracle(p, point))
 
 
-def _draw_grid(rng, shape, n):
+def _density_normalization(shape, n):
     # Fixed two-cell grid quadrature regardless of the configured shape:
     # the property is about the density normalizer, not the shape.  The
     # trapezoid rule converges geometrically on a smooth, fast-decaying
     # integrand: step 0.08 gives the same bits as step 0.01 (a test checks).
-    return (np.linspace(-8.0, 8.0, GRID),)
-
-
-@_one_by_one
-def _density_normalization(shape, n, axis):
+    axis = np.linspace(-8.0, 8.0, GRID)
     grid_shape = Shape((2,))
     p = TensorNormalParams(
         DenseTensor.zeros(grid_shape),
@@ -469,7 +438,7 @@ def _density_normalization(shape, n, axis):
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     dens = np.exp(normal_log_density_batch(p, pts)).reshape(axis.size, axis.size)
     integral = float(np.trapezoid(np.trapezoid(dens, axis, axis=1), axis))
-    return abs(integral - 1.0)
+    return np.array([abs(integral - 1.0)])
 
 
 @_one_by_one
@@ -513,10 +482,6 @@ def _elliptical_student_cov(shape, n, seed):
     return float(np.abs(matricize(cross_covariance(s, s).value) - expected).max())
 
 
-def _draw_sampling_determinism(rng, shape, n):
-    return (int(rng.integers(2**63)),) + _random_factors(rng, shape)
-
-
 @_one_by_one
 def _sampling_determinism(shape, n, seed, *arrays):
     p = _pattern_params(shape)
@@ -541,61 +506,69 @@ def _sampling_determinism(shape, n, seed, *arrays):
 
 @dataclass(frozen=True)
 class _Check:
-    """One check: its tolerance, how to draw an instance and how to evaluate a stack.
+    """One check: its tolerance, the draws of an instance and how to evaluate a stack.
 
-    ``draw(rng, shape, n)`` returns one instance's inputs, a tuple of
-    arrays and numbers, and is the only part that consumes the check's
-    random stream.  ``evaluate(shape, n, *stacks)`` takes the inputs of
-    several instances, each stacked along a new leading axis, and returns
-    one deviation per instance.  ``per_instance(n)`` is how many samples
-    of the ``n=`` column one instance adds.
+    ``draws`` are the draws one instance is made of: each
+    ``draw(rng, shape, n)`` returns a tuple of arrays and numbers, and the
+    instance's inputs are their outputs joined in order.  A check with no
+    draws evaluates constants and consumes nothing of its random stream.
+    ``evaluate(shape, n, *stacks)`` takes the inputs of several instances,
+    each stacked along a new leading axis, and returns one deviation per
+    instance.  ``per_instance(n)`` is how many samples of the ``n=`` column
+    one instance adds.
     """
 
     name: str
     tolerance: float
     instances: int
-    draw: Callable
+    draws: tuple[Callable, ...]
     evaluate: Callable
     per_instance: Callable[[int], int]
 
+    def draw(self, rng: np.random.Generator, shape: Shape, n: int) -> tuple:
+        """One instance's inputs: the outputs of ``draws``, joined in order."""
+        return tuple(v for draw in self.draws for v in draw(rng, shape, n))
 
-def _identity(name, tolerance, draw, evaluate, instances=INSTANCES):
-    return _Check(name, tolerance, instances, draw, evaluate, lambda n: 1)
+
+def _identity(name, tolerance, draws, evaluate, instances=INSTANCES):
+    return _Check(name, tolerance, instances, draws, evaluate, lambda n: 1)
 
 
 # The position in this table picks the check's seed substream.
 _CHECKS: tuple[_Check, ...] = (
-    _identity("mat-roundtrip", 0.0, _draw_square, _mat_roundtrip),
-    _identity("mat-linearity", 0.0, _draw_mat_linearity, _mat_linearity),
-    _identity("mat-transpose", 0.0, _draw_square, _mat_transpose),
-    _identity("mat-product", 1e-12, _draw_two_squares, _mat_product),
-    _identity("det-identity", 0.0, _draw_identity, _det_identity, instances=1),
-    _identity("det-zero", 0.0, _draw_zeros, _det_zero, instances=1),
-    _identity("det-scale", 1e-9, _draw_det_scale, _det_scale),
-    _identity("det-transpose", 1e-10, _draw_well_conditioned, _det_transpose),
-    _identity("det-product", 1e-9, _draw_two_well_conditioned, _det_product),
-    _identity("det-inverse", 1e-9, _draw_well_conditioned, _det_inverse),
-    _identity("inverse-contract", 1e-10, _draw_spd, _inverse_contract),
-    _identity("kronecker-mode-scaling", 1e-12, _draw_dense, _kron_mode_scaling),
-    _identity("kronecker-quadratic-form", 1e-12, _draw_kron_quadratic_form, _kron_quadratic_form),
-    _Check("kronecker-equivalence", 1e-10, 10, _draw_kron_equivalence, _kron_equivalence,
-           lambda n: PROBES),
-    _identity("cov-mat-consistency", 1e-12, _draw_sample_set, _cov_mat_consistency),
-    _identity("cov-moment-identity", 1e-12, _draw_sample_set, _cov_moment_identity),
-    _identity("cov-sum-expansion", 1e-12, _draw_two_sample_sets, _cov_sum_expansion),
-    _identity("cov-index-swap", 0.0, _draw_two_sample_sets, _cov_index_swap),
-    _identity("corr-unit-diagonal", 0.0, _draw_sample_set, _corr_unit_diagonal),
-    _identity("corr-bounds", 1e-12, _draw_sample_set, _corr_bounds),
-    _Check("independence-zero-crosscov", 0.02, 1, _draw_seed, _independence, lambda n: n),
-    _identity("density-equivalence", 1e-10, _draw_law_and_point, _density_equivalence),
-    _Check("density-normalization", 1e-3, 1, _draw_grid, _density_normalization,
-           lambda n: GRID**2),
-    _Check("moment-recovery-mean", 0.02, 1, _draw_seed, _moment_recovery_mean, lambda n: n),
-    _Check("moment-recovery-cov", 0.05, 1, _draw_seed, _moment_recovery_cov, lambda n: n),
-    _identity("elliptical-normal-consistency", 1e-12, _draw_law_and_point, _elliptical_normal),
-    _Check("elliptical-student-covariance", 0.1, 1, _draw_seed, _elliptical_student_cov,
+    _identity("mat-roundtrip", 0.0, (_draw_square,), _mat_roundtrip),
+    _identity("mat-linearity", 0.0, (_draw_square, _draw_square, _draw_alpha), _mat_linearity),
+    _identity("mat-transpose", 0.0, (_draw_square,), _mat_transpose),
+    _identity("mat-product", 1e-12, (_draw_square, _draw_square), _mat_product),
+    _identity("det-identity", 0.0, (), _det_identity, instances=1),
+    _identity("det-zero", 0.0, (), _det_zero, instances=1),
+    _identity("det-scale", 1e-9, (_draw_well_conditioned, _draw_lambda), _det_scale),
+    _identity("det-transpose", 1e-10, (_draw_well_conditioned,), _det_transpose),
+    _identity("det-product", 1e-9, (_draw_well_conditioned, _draw_well_conditioned),
+              _det_product),
+    _identity("det-inverse", 1e-9, (_draw_well_conditioned,), _det_inverse),
+    _identity("inverse-contract", 1e-10, (_draw_spd,), _inverse_contract),
+    _identity("kronecker-mode-scaling", 1e-12, (_draw_dense,), _kron_mode_scaling),
+    _identity("kronecker-quadratic-form", 1e-12, (_draw_factors, _draw_dense),
+              _kron_quadratic_form),
+    _Check("kronecker-equivalence", 1e-10, 10, (_draw_factors, _draw_dense, _draw_seed),
+           _kron_equivalence, lambda n: PROBES),
+    _identity("cov-mat-consistency", 1e-12, (_draw_sample_set,), _cov_mat_consistency),
+    _identity("cov-moment-identity", 1e-12, (_draw_sample_set,), _cov_moment_identity),
+    _identity("cov-sum-expansion", 1e-12, (_draw_two_sample_sets,), _cov_sum_expansion),
+    _identity("cov-index-swap", 0.0, (_draw_two_sample_sets,), _cov_index_swap),
+    _identity("corr-unit-diagonal", 0.0, (_draw_sample_set,), _corr_unit_diagonal),
+    _identity("corr-bounds", 1e-12, (_draw_sample_set,), _corr_bounds),
+    _Check("independence-zero-crosscov", 0.02, 1, (_draw_seed,), _independence, lambda n: n),
+    _identity("density-equivalence", 1e-10, (_draw_law_and_point,), _density_equivalence),
+    _Check("density-normalization", 1e-3, 1, (), _density_normalization, lambda n: GRID**2),
+    _Check("moment-recovery-mean", 0.02, 1, (_draw_seed,), _moment_recovery_mean, lambda n: n),
+    _Check("moment-recovery-cov", 0.05, 1, (_draw_seed,), _moment_recovery_cov, lambda n: n),
+    _identity("elliptical-normal-consistency", 1e-12, (_draw_law_and_point,),
+              _elliptical_normal),
+    _Check("elliptical-student-covariance", 0.1, 1, (_draw_seed,), _elliptical_student_cov,
            lambda n: 2 * n),
-    _Check("sampling-determinism", 0.0, 1, _draw_sampling_determinism, _sampling_determinism,
+    _Check("sampling-determinism", 0.0, 1, (_draw_seed, _draw_factors), _sampling_determinism,
            lambda n: REPEAT_DRAWS),
 )
 

@@ -5,7 +5,10 @@ and keeps one ledger line per call: its argv (the work directory written as
 ``{work}``), its exit code and the sha256 of its stdout, of each stdout
 line, of its stderr and of each file it writes.  The ledger opens with the
 environment (Python, numpy, BLAS), because digests that involve a rounded
-sum depend on the BLAS kernel.  Run it from the repository root:
+sum depend on the BLAS kernel: besides the build's BLAS it keeps the
+configuration string of the OpenBLAS that runs, which names its kernel
+(``unknown`` when no loaded library exports ``openblas_get_config``), and
+``OPENBLAS_CORETYPE``.  Run it from the repository root:
 
     PYTHONPATH=src python tests/contract.py --record DIR
     PYTHONPATH=src python tests/contract.py --compare DIR
@@ -14,7 +17,8 @@ sum depend on the BLAS kernel.  Run it from the repository root:
 again and prints one line: the calls run, the calls identical and the names
 of any that differ, each with the stdout lines that moved, as in
 ``verify-2x2-100000-1729 (stdout lines 8-11)``; it exits 1 if any differ.
-A ledger recorded without line digests still compares call by call.
+A ledger recorded without line digests still compares call by call, and
+one recorded under another BLAS kernel is noted on stderr.
 Compare a change with a ledger recorded on the same host, by running
 ``--record`` on a checkout of the parent commit first.  The name keeps
 pytest from collecting the file.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -83,6 +88,40 @@ SCALE_CASES = {
 }
 
 
+# The names OpenBLAS builds export their configuration string under:
+# plain, 64-bit-integer, and the prefixed builds numpy and scipy wheels ship.
+OPENBLAS_CONFIG_SYMBOLS = (
+    "openblas_get_config", "openblas_get_config64_",
+    "scipy_openblas_get_config", "scipy_openblas_get_config64_",
+)
+
+
+def blas_runtime() -> str:
+    """The configuration string of the loaded OpenBLAS, naming the kernel it runs.
+
+    ``np.show_config`` reports the build; OpenBLAS picks its kernel for the
+    CPU when it loads, or takes the one ``OPENBLAS_CORETYPE`` names.
+    ``unknown`` when no library this process has loaded exports one of
+    ``OPENBLAS_CONFIG_SYMBOLS``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in OPENBLAS_CONFIG_SYMBOLS:
+            get_config = getattr(lib, symbol, None)
+            if get_config is not None:
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+                return get_config().decode().strip()
+    return "unknown"
+
+
 def environment() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -93,9 +132,17 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
+        "blas_runtime": blas_runtime(),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
     }
+
+
+def _kernel(environment_line: dict) -> str:
+    env = environment_line.get("environment", {})
+    runtime = env.get("blas_runtime", "not recorded")
+    return f"{runtime!r} (OPENBLAS_CORETYPE={env.get('openblas_coretype')})"
 
 
 def _tensor(data, dims, kind="tensor"):
@@ -314,6 +361,12 @@ def compare(old: list[dict], new: list[dict]) -> tuple[int, int, list[str]]:
     """
     if old[0] != new[0]:
         print(f"note: environments differ: {old[0]} vs {new[0]}", file=sys.stderr)
+    if _kernel(old[0]) != _kernel(new[0]):
+        print(
+            f"note: the ledger was recorded under another BLAS kernel, {_kernel(old[0])}; "
+            f"this run uses {_kernel(new[0])}, and digests of rounded sums may differ",
+            file=sys.stderr,
+        )
     before = {line["name"]: line for line in old[1:]}
     after = {line["name"]: line for line in new[1:]}
     differ = [d for name, line in after.items() if (d := _difference(before.get(name), line))]

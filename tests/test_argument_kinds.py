@@ -3,7 +3,8 @@
 Each refusal sits where the argument first enters the library: ``vec``,
 ``matricize`` (behind every ``linalg`` call), the stats reader of a
 sample set's rows (behind every estimator and ``fit_normal``), the seed
-check of the samplers and the row check of the batch log-densities.
+check of the samplers, the row check of the batch log-densities and the
+params check of every density, sampler and equivalence check.
 """
 
 import numpy as np
@@ -13,12 +14,19 @@ from tensorstat import linalg
 from tensorstat.distributions import (
     RngSeed,
     TensorNormalParams,
+    elliptical_density,
+    elliptical_log_density,
     elliptical_log_density_batch,
     elliptical_sample,
     fit_normal,
+    kronecker_equivalence_check,
+    normal_density,
+    normal_log_density,
     normal_log_density_batch,
+    normal_log_density_vec_oracle,
     normal_sample,
 )
+from tensorstat.linalg import KroneckerFactors
 from tensorstat.stats import (
     correlation,
     covariance,
@@ -36,6 +44,14 @@ OBSERVATIONS = list(SAMPLES)
 ROWS = SAMPLES.to_matrix().copy()
 TENSOR = DenseTensor([1.0, 2.0], SHAPE)
 SQUARE_ARRAY = np.eye(2)
+# Params of the wrong kind: a (location, scale) pair, bare factors, a bare
+# scale and nothing.
+NOT_PARAMS = (
+    (PARAMS.location, PARAMS.scale),
+    KroneckerFactors((np.eye(2),)),
+    SquareTensor.identity(SHAPE),
+    None,
+)
 
 CASES = [
     *(
@@ -64,6 +80,31 @@ CASES = [
         (call.__name__, lambda points, call=call: call(PARAMS, points), bad, r"rows are vec")
         for call in (normal_log_density_batch, elliptical_log_density_batch)
         for bad in (TENSOR, SquareTensor.identity(SHAPE))
+    ),
+    # A tuple case is the call's argument list, so each params is wrapped.
+    *(
+        (call.__name__, lambda p, call=call: call(p, TENSOR), (bad,), "EllipticalParams")
+        for call in (
+            normal_log_density, elliptical_log_density, normal_log_density_vec_oracle,
+            normal_density, elliptical_density,
+        )
+        for bad in NOT_PARAMS
+    ),
+    *(
+        (call.__name__, lambda p, call=call: call(p, ROWS), (bad,), "EllipticalParams")
+        for call in (normal_log_density_batch, elliptical_log_density_batch)
+        for bad in NOT_PARAMS
+    ),
+    *(
+        (call.__name__, lambda p, call=call: call(p, RngSeed(5), 3), (bad,), "EllipticalParams")
+        for call in (normal_sample, elliptical_sample)
+        for bad in NOT_PARAMS
+    ),
+    *(
+        ("kronecker_equivalence_check", kronecker_equivalence_check, args, kind)
+        for bad in NOT_PARAMS
+        for args, kind in (((bad, PARAMS), "dense must be an EllipticalParams"),
+                           ((PARAMS, bad), "structured must be an EllipticalParams"))
     ),
 ]
 

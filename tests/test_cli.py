@@ -244,6 +244,35 @@ class TestEstimate:
         t = read_tensor(str(dst))
         assert t.shape == Shape((2, 3))
 
+    @pytest.mark.parametrize("kind", ["cov", "corr"])
+    def test_other_is_refused_unless_crosscov(self, capsys, tmp_path, monkeypatch, kind):
+        # Refused before any file is read or written: the input, the other
+        # sample file and the output are never opened.
+        import tensorstat.cli as cli
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_sample_set", no_read)
+        src = self.write_samples(tmp_path, [[0.0], [2.0]], (1,))
+        dst = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "estimate", src, str(dst), "--kind", kind,
+            "--other", str(tmp_path / "missing.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --other applies only to --kind crosscov, not {kind}\n"
+        assert not dst.exists()
+
+    def test_empty_other_is_a_missing_file(self, capsys, tmp_path):
+        # An empty --other names no file; it does not fall back to the input.
+        src = self.write_samples(tmp_path, [[0.0], [2.0]], (1,))
+        dst = tmp_path / "cross.json"
+        code, out, err = run(capsys, "estimate", src, str(dst), "--kind", "crosscov", "--other", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not dst.exists()
+
     def test_cov_diagnostics_are_those_of_the_written_tensor(self, capsys, tmp_path):
         rng = np.random.default_rng(202)
         src = self.write_samples(tmp_path, rng.standard_normal((40, 6)), (3, 2))

@@ -31,3 +31,24 @@ def test_a_ledger_without_line_digests_compares_call_by_call():
 
 def test_missing_and_new_calls_are_named():
     assert contract.compare(ledger(a=["1"]), ledger(b=["1"])) == (1, 0, ["b", "a"])
+
+
+def test_a_ledger_recorded_under_another_kernel_is_noted(capsys):
+    old, new = ledger(a=["1"]), ledger(a=["1"])
+    old[0]["environment"] = {"blas_runtime": "OpenBLAS 0.3.31 Haswell", "openblas_coretype": None}
+    new[0]["environment"] = {"blas_runtime": "OpenBLAS 0.3.31 SkylakeX", "openblas_coretype": None}
+    assert contract.compare(old, new) == (1, 1, [])
+    notes = capsys.readouterr().err.splitlines()
+    assert notes[1] == (
+        "note: the ledger was recorded under another BLAS kernel, "
+        "'OpenBLAS 0.3.31 Haswell' (OPENBLAS_CORETYPE=None); this run uses "
+        "'OpenBLAS 0.3.31 SkylakeX' (OPENBLAS_CORETYPE=None), and digests of rounded "
+        "sums may differ"
+    )
+
+
+def test_the_environment_names_the_running_blas_kernel(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    env = contract.environment()
+    assert env["openblas_coretype"] == "Haswell"
+    assert env["blas_runtime"] == "unknown" or "OpenBLAS" in env["blas_runtime"]

@@ -1,5 +1,6 @@
 """Tests for the verification harness behind ``tensorstat verify``."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -75,7 +76,7 @@ def uniform_check(calls):
 
     check = verify._CHECKS[0]
     assert check.instances == verify.INSTANCES
-    return verify._Check(check.name, check.tolerance, check.instances, draw, evaluate,
+    return verify._Check(check.name, check.tolerance, check.instances, (draw,), evaluate,
                          lambda n: 1)
 
 
@@ -110,6 +111,61 @@ def test_stacked_deviation_is_the_largest_one_at_a_time(dims):
         assert len(list(verify._batches(check, rng, shape, 100))) == 1
         stacked, _samples = verify._run_check(index, 1729, shape, 100)
         assert stacked == max(one_at_a_time(index, shape, 100)), check.name
+
+
+# sha256 of each check's drawn inputs at 2x3x2, seed 1729, with every
+# positive definite matrix replaced by its Gaussian draw: a GEMM's rounding
+# depends on the BLAS kernel, the generator's output does not.
+DRAW_DIGESTS = {
+    "mat-roundtrip": "62aa6615fcca6e6c94241856023b8314f8bdcb24bdce16c44d608ff08550d346",
+    "mat-linearity": "d5a23ba65274b9d4162733d84ca0a56451df05299bf7026005e71457c568552b",
+    "mat-transpose": "1303ca25e62a10e0eb933dd0cd27c6eae8ffb33d11a7423312771e316f9f3338",
+    "mat-product": "c74254b39cd60636b011711e11e00c763be34ec380e54db0c70d7f1b796d781f",
+    "det-scale": "af7021e383a1dd4839f258fa190c443e513820a2e868f02ae211945cb4131c8d",
+    "det-transpose": "1b9998fb36a879b795d24057b62c2a2fabc735bfed23155b6e7476be66853ea2",
+    "det-product": "6a5bca2666b994f7b357af3b8aab8b8cd30de55a737266ce163d7c69caaf12c5",
+    "det-inverse": "13a99844f9a027c305ebd7ff07e7a9085c48f88c5a214c1790ece12b974daf65",
+    "inverse-contract": "61a4fb21e536776a9bee2b44bb133d0282ea47b6752cbdc3a4731f024475b0e2",
+    "kronecker-mode-scaling": "1e2eb84d63ab8a3aefced3506c4da160db0f744b8b8b839a2d7d8c1e5fb9710c",
+    "kronecker-quadratic-form": "c07f225075171ccb35bacd1f87bc7ff183673c7f4d2337006f8bd79dfbab74b6",
+    "kronecker-equivalence": "434c01a9f2a540d29670aa07251df32fbbe62fbcc7fb20166a0130728c2838d9",
+    "cov-mat-consistency": "73c4be6ceaed36fdbaa2ca252413ef0c322d96d2c21209e98d75f49d53d80221",
+    "cov-moment-identity": "03720df05581bf207f22bf8eb85ab459424edc518081a20a5c26e449bfc485e0",
+    "cov-sum-expansion": "b842679dc85085c8a1025c8b54220cab3269126311591b1e2e9aee1b1834cdde",
+    "cov-index-swap": "fb02f2f3b102275744e8654df9f0f91efe989c7baf3d9f7a222135f1687271a0",
+    "corr-unit-diagonal": "5c5bc1e725a32f0932643a3d60eb0c39ff93219f39f17e40d7f0db8d96969191",
+    "corr-bounds": "2425941c734e0ebb97a670a9131c7e58966ea01a5a6ddcf01dd3d424c67fa269",
+    "independence-zero-crosscov": "46cd608f119547ee4420e1d897c5856e77bb966ebb3788f3f2408fabcb480559",
+    "density-equivalence": "440b121d21cbbf2302e7b93523450de5bc12f0b13208d71d4e1f20d4b6495411",
+    "moment-recovery-mean": "9c12f5f755c3a210d361f53b6c9bdb72056b682d53584b06383a22bd37e5bdae",
+    "moment-recovery-cov": "deef40b1e41e2bab83d93c238e69822aa983822681d7e38b2be231365837cda2",
+    "elliptical-normal-consistency": "d78cb97a2013f805c7672e1c14f60f49bc8198ccd545207c8829d1fb92c53f75",
+    "elliptical-student-covariance": "a57db521b55b57fc576a39cad8e273e2dc5585010e963beac47d48c7c7a0de4e",
+    "sampling-determinism": "40f2dcd22f8aeb36f83ce94aca26c321db864dfd2f0fbfab223fffb9e561baf4",
+}
+CONSTANT_CHECKS = ("det-identity", "det-zero", "density-normalization")
+
+
+def test_every_check_draws_the_pinned_inputs(monkeypatch):
+    # A refactor of the draws must keep every random input, in order.  The
+    # checks whose inputs are constants must not touch their stream.
+    monkeypatch.setattr(verify, "_random_spd_matrix",
+                        lambda rng, n, *args: rng.standard_normal((n, n)))
+    shape = Shape((2, 3, 2))
+    assert set(DRAW_DIGESTS) | set(CONSTANT_CHECKS) == set(verify.CHECK_NAMES)
+    for index, check in enumerate(verify._CHECKS):
+        rng = distributions.RngSeed(1729, index).generator()
+        state = rng.bit_generator.state
+        digest = hashlib.sha256()
+        for batch in verify._batches(check, rng, shape, 100):
+            for inputs in batch:
+                for value in map(np.asarray, inputs):
+                    digest.update(f"{value.dtype.str}{value.shape}".encode())
+                    digest.update(value.tobytes())
+        if check.name in CONSTANT_CHECKS:
+            assert rng.bit_generator.state == state, check.name
+        else:
+            assert digest.hexdigest() == DRAW_DIGESTS[check.name], check.name
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
