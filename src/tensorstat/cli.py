@@ -37,10 +37,9 @@ from .errors import (
     SingularTensorError,
     SymmetryError,
 )
-from .linalg import det, inverse, slogdet
+from .linalg import _square_diagnostics, det, inverse, slogdet
 from .stats import (
     SampleSet,
-    _square_diagnostics,
     correlation,
     covariance,
     cross_covariance,
@@ -177,7 +176,7 @@ def _cmd_estimate(args) -> int:
         result = cross_covariance(samples, other, args.normalization).value
     write_tensor(args.output, result, binary=_binary_output(args.output, args.binary))
     if isinstance(result, SquareTensor):
-        sym_residual, min_eig = diagnostics or _square_diagnostics(matricize(result))
+        sym_residual, min_eig = diagnostics or _square_diagnostics(matricize(result))[:2]
         print(f"shape: {result.row_shape}x{result.row_shape}")
         print(f"symmetry residual: {sym_residual:.3e}")
         print(f"min matricized eigenvalue: {_fmt(min_eig)}")

@@ -43,13 +43,12 @@ import numpy as np
 
 from .errors import DefinitenessError, ShapeError, UnsupportedKernelError
 from .linalg import (
-    SYMMETRY_TOL,
     CholeskyFactor,
     KroneckerFactors,
     _kron,
     kronecker_assemble,
     kronecker_cholesky,
-    symmetric_part,
+    symmetry,
 )
 from .stats import SampleSet, _set_rows, cross_covariance, mean_tensor
 from .tensor_core import (
@@ -153,12 +152,12 @@ class RadialKernel:
         return None
 
     def _standard_draws(self, rng: np.random.Generator, nstar: int, count: int) -> np.ndarray:
-        # Rows of the standardized law (identity scale, zero location):
-        # R * u with u uniform on the unit sphere and R the radial variable.
+        # Rows R * u of the standardized law (identity scale, zero location): u
+        # uniform on the unit sphere, R the radial variable; built in place, in one block.
         z = rng.standard_normal((count, nstar))
-        u = z / np.linalg.norm(z, axis=1, keepdims=True) if count else z
-        r = np.asarray(self.sample_radius(rng, nstar, count), dtype=np.float64)
-        return r[:, None] * u
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z *= np.asarray(self.sample_radius(rng, nstar, count), dtype=np.float64)[:, None]
+        return z
 
 
 @dataclass(frozen=True)
@@ -329,7 +328,7 @@ class EllipticalParams:
         """Symmetric factors in mode order: a dense scale's one is its symmetric matricization."""
         if isinstance(self.scale, KroneckerFactors):
             return self.scale.factors
-        return (symmetric_part(matricize(self.scale), SYMMETRY_TOL, "matricization"),)
+        return (symmetry(matricize(self.scale), "matricization")[0],)
 
     @functools.cached_property
     def scale_matrix(self) -> np.ndarray:

@@ -35,7 +35,7 @@ __all__ = [
 # density code must never see a near-singular scale silently.
 RCOND_LIMIT = 1e-12
 
-# Default absolute symmetry tolerance, calibrated to unit-scale entries.
+# The one symmetry and definiteness bound, relative to max |m|: see symmetry.
 SYMMETRY_TOL = 1e-10
 
 
@@ -157,43 +157,52 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
     return kronecker_cholesky((np.asarray(m, dtype=np.float64),))[0]
 
 
-def asymmetry(m: np.ndarray) -> float:
-    """Largest ``|m - m.T|`` of a square matrix; NaN if an entry is NaN."""
-    return float(np.abs(m - m.T).max())
+def symmetry(m: np.ndarray, what: str | None = None, tol: float = SYMMETRY_TOL):
+    """``(part, residual, bound)`` of a square matrix, by the one relative rule.
 
-
-def symmetric_part(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """``(m + m.T) / 2``; :class:`SymmetryError` naming ``what`` unless ``asymmetry(m) <= tol``."""
-    asym = asymmetry(m)
-    if not asym <= tol:
+    ``m`` is symmetric when ``residual = max |m - m.T|`` is at most ``bound
+    = tol * max |m|``, and PSD when no eigenvalue of ``part`` is below
+    ``-bound``: units move neither verdict.  ``part`` is ``m`` itself when
+    exactly symmetric (no copy, nothing to overflow), else ``(m + m.T) / 2``.
+    With ``what``, raises :class:`SymmetryError` naming it unless symmetric.
+    """
+    residual, magnitude = float(np.abs(m - m.T).max()), float(np.abs(m).max())
+    if what is not None and not residual <= tol * magnitude:
         raise SymmetryError(
-            f"{what} is not symmetric: max |m - m.T| = {asym:.3e} exceeds tolerance {tol:g}"
+            f"{what} is not symmetric: max |m - m.T| = {residual:.3e} exceeds "
+            f"tolerance {tol:g} relative to max |m| = {magnitude:.3e}"
         )
-    return 0.5 * (m + m.T)
+    return (m if residual == 0.0 else 0.5 * (m + m.T)), residual, tol * magnitude
+
+
+def _square_diagnostics(m: np.ndarray) -> tuple[float, float, bool, bool]:
+    # Largest |m - m.T|, least eigenvalue of the part, and symmetry's two verdicts.
+    part, residual, bound = symmetry(m)
+    min_eig = float(np.linalg.eigvalsh(part).min())
+    return residual, min_eig, residual <= bound, min_eig >= -bound
 
 
 def cholesky(s: SquareTensor, tol: float = SYMMETRY_TOL) -> CholeskyFactor:
     """Cholesky factorization of the matricization of a symmetric PD tensor.
 
-    The input must be symmetric within ``tol``; the factorization runs on
-    the exactly symmetrized matrix so round-off asymmetry cannot leak into
-    the factor.
+    The matricization ``m`` must be symmetric, ``max |m - m.T| <= tol *
+    max |m|``; the factorization runs on its exact symmetric part, so
+    round-off asymmetry cannot leak into the factor.
     """
-    sym = symmetric_part(matricize(s), tol, "matricization")
+    sym = symmetry(matricize(s), "matricization", tol)[0]
     return CholeskyFactor(row_shape=s.row_shape, lower=cholesky_lower(sym))
 
 
 def is_symmetric(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
-    """Whether ``x`` equals its block transpose within an absolute ``tol``."""
-    return asymmetry(matricize(x)) <= tol
+    """Whether ``max |m - m.T| <= tol * max |m|`` for the matricization ``m``."""
+    _part, residual, bound = symmetry(matricize(x), tol=tol)
+    return residual <= bound
 
 
 def is_positive_definite(x: SquareTensor, tol: float = SYMMETRY_TOL) -> bool:
-    """Whether ``x`` is symmetric within ``tol`` with a PD matricization."""
-    try:
-        return _cholesky_or_none(symmetric_part(matricize(x), tol, "matricization")) is not None
-    except SymmetryError:
-        return False
+    """Whether ``x`` is symmetric within a relative ``tol`` with a PD matricization."""
+    part, residual, bound = symmetry(matricize(x), tol=tol)
+    return residual <= bound and _cholesky_or_none(part) is not None
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,8 @@ class KroneckerFactors:
     ``factors[i]`` is the ``n_{i+1} x n_{i+1}`` matrix acting along mode
     ``i`` of the tensor; the assembled matricization is their Kronecker
     product taken in the order that matches the column-major vectorization
-    (see :func:`kronecker_assemble`).  Each is stored read-only as its
-    symmetric part ``(a + a.T) / 2``, within ``1e-12`` of the input.
+    (see :func:`kronecker_assemble`).  Each is stored read-only as a copy
+    of its symmetric part, and refused unless :func:`symmetry` finds it so.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -212,14 +221,14 @@ class KroneckerFactors:
     def __post_init__(self) -> None:
         cleaned = []
         for k, f in enumerate(self.factors):
-            a = np.asarray(f, dtype=np.float64)
+            a = np.array(f, dtype=np.float64, order="C")
             if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
                 raise ShapeError(
                     f"factor {k} must be a square matrix, got shape {a.shape}"
                 )
             # Checked first: a non-finite factor is bad input, not asymmetric.
             _require_finite(a)
-            sym = symmetric_part(a, 1e-12, f"factor {k}")
+            sym = symmetry(a, f"factor {k}")[0]
             sym.flags.writeable = False
             cleaned.append(sym)
         if not cleaned:

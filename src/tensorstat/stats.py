@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, ShapeError
-from .linalg import asymmetry
+from .errors import DefinitenessError, DegenerateVarianceError, ShapeError, SymmetryError
+from .linalg import _square_diagnostics
 from .tensor_core import (
     DenseTensor,
     Shape,
@@ -155,20 +155,16 @@ class SampleSet:
         return self._rows
 
 
-def _square_diagnostics(m: np.ndarray) -> tuple[float, float]:
-    # Largest |m - m.T| and smallest eigenvalue of the symmetric part.
-    return asymmetry(m), float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-
-
 @dataclass(frozen=True)
 class CovTensor:
     """Self-covariances of a random tensor's cells.
 
-    Symmetric under block transpose (enforced exactly by construction) with
-    a positive semidefinite matricization.  The checks leave their
-    diagnostics behind: ``symmetry_residual`` is the largest
-    ``|m - m.T|`` of the matricization ``m`` and ``min_eigenvalue`` the
-    smallest eigenvalue of its symmetric part.
+    Symmetric under block transpose (exactly, as the estimators build it)
+    with a PSD matricization ``m``, by :func:`~tensorstat.linalg.symmetry`'s
+    relative rule, else :class:`SymmetryError` or :class:`DefinitenessError`.
+    The checks leave their diagnostics behind: ``symmetry_residual`` is the
+    largest ``|m - m.T|`` and ``min_eigenvalue`` the smallest eigenvalue of
+    the symmetric part.
     """
 
     value: SquareTensor
@@ -177,17 +173,15 @@ class CovTensor:
     min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = matricize(self.value)
-        sym_residual, min_eig = _square_diagnostics(m)
-        if sym_residual > 1e-12:
-            raise ValueError("covariance tensor must be symmetric")
-        scale = max(1.0, float(np.abs(np.diag(m)).max()))
-        if min_eig < -1e-10 * scale:
-            raise ValueError(
+        residual, min_eig, symmetric, psd = _square_diagnostics(matricize(self.value))
+        if not symmetric:
+            raise SymmetryError("covariance tensor must be symmetric")
+        if not psd:
+            raise DefinitenessError(
                 f"covariance matricization must be positive semidefinite, "
                 f"min eigenvalue {min_eig:.3e}"
             )
-        object.__setattr__(self, "symmetry_residual", sym_residual)
+        object.__setattr__(self, "symmetry_residual", residual)
         object.__setattr__(self, "min_eigenvalue", min_eig)
 
 

@@ -139,8 +139,7 @@ def _well_conditioned(g: np.ndarray, svals: np.ndarray) -> np.ndarray:
 
 def _random_spd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    m = a @ a.T / n + 0.5 * np.eye(n)
-    return 0.5 * (m + m.T)
+    return a @ a.T / n + 0.5 * np.eye(n)
 
 
 def _random_rows(rng: np.random.Generator, shape: Shape, n: int) -> np.ndarray:

@@ -28,12 +28,12 @@ REFUSALS = {
     "asym": (
         3,
         "error: matricization is not symmetric: max |m - m.T| = 5.000e-01 "
-        "exceeds tolerance 1e-10\n",
+        "exceeds tolerance 1e-10 relative to max |m| = 1.000e+00\n",
     ),
     "asym-factor": (
         3,
         "error: factor 0 is not symmetric: max |m - m.T| = 5.000e-01 "
-        "exceeds tolerance 1e-12\n",
+        "exceeds tolerance 1e-10 relative to max |m| = 1.000e+00\n",
     ),
     "neg-pos": (3, "error: matrix is not positive definite: pivot 0 is non-positive\n"),
     "pos-indefinite": (3, "error: matrix is not positive definite: pivot 2 is non-positive\n"),

@@ -380,7 +380,10 @@ class TestKronecker:
             KroneckerFactors((np.eye(2), np.zeros((0, 0))))
 
     def test_asymmetric_factor_message(self):
-        message = "factor 0 is not symmetric: max |m - m.T| = 1.000e-06 exceeds tolerance 1e-12"
+        message = (
+            "factor 0 is not symmetric: max |m - m.T| = 1.000e-06 exceeds "
+            "tolerance 1e-10 relative to max |m| = 1.000e+00"
+        )
         with pytest.raises(SymmetryError, match=f"^{re.escape(message)}$"):
             KroneckerFactors((np.array([[1.0, 1e-6], [0.0, 1.0]]),))
 
