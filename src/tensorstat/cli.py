@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import struct
 import sys
 from typing import Optional
@@ -44,12 +45,7 @@ from .stats import (
     covariance,
     cross_covariance,
 )
-from .tensor_core import (
-    DenseTensor,
-    Shape,
-    SquareTensor,
-    matricize,
-)
+from .tensor_core import DenseTensor, Shape, SquareTensor, _square_row_shape, matricize
 from .tensorfile import (
     read_params,
     read_sample_set,
@@ -86,7 +82,10 @@ def _resolve_seed(value: Optional[int], default: int) -> int:
 
 
 def _parse_shape_spec(spec: str) -> Shape:
+    # ASCII digits joined by "x"; int() also takes "1_6", " 2", "+2" and non-ASCII digits.
     try:
+        if not re.fullmatch("[0-9]+(x[0-9]+)*", spec):
+            raise ValueError
         dims = tuple(int(part) for part in spec.split("x"))
     except ValueError:
         raise FileFormatError(
@@ -101,13 +100,10 @@ def _as_square(t) -> SquareTensor:
     # already checked its entries and made it read-only, so share it.
     if isinstance(t, SquareTensor):
         return t
-    if isinstance(t, DenseTensor) and t.order % 2 == 0:
-        half = t.order // 2
-        if t.shape.dims[:half] == t.shape.dims[half:]:
-            return SquareTensor._wrap(t.array, Shape(t.shape.dims[:half]))
-    raise FileFormatError(
-        "a square2d tensor is required (even order, matching index blocks)"
-    )
+    row_shape = _square_row_shape(t.shape.dims) if isinstance(t, DenseTensor) else None
+    if row_shape is None:
+        raise FileFormatError("a square2d tensor is required (even order, matching index blocks)")
+    return SquareTensor._wrap(t.array, row_shape)
 
 
 def _read_samples(path: str) -> SampleSet:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -43,16 +42,12 @@ import numpy as np
 
 from .errors import DefinitenessError, ShapeError, UnsupportedKernelError
 from .linalg import (
-    CholeskyFactor,
-    KroneckerFactors,
-    _kron,
-    kronecker_assemble,
-    kronecker_cholesky,
-    symmetry,
+    CholeskyFactor, KroneckerFactors, kronecker_assemble, kronecker_cholesky, symmetry
 )
 from .stats import SampleSet, _set_rows, cross_covariance, mean_tensor
 from .tensor_core import (
-    DenseTensor, Shape, SquareTensor, _require_finite, matricize, unmatricize, vec
+    DenseTensor, Shape, SquareTensor, _integer, _kron, _mode_product, _require_finite,
+    matricize, unmatricize, vec,
 )
 
 __all__ = [
@@ -98,16 +93,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        # operator.index refuses the floats and strings int() would truncate
-        # or parse; bool is an int, so it is refused by name, as in Shape.
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.stream < 0:
@@ -264,27 +251,28 @@ def kernel_from_spec(spec: str) -> RadialKernel:
 class EllipticalParams:
     """Location, scale and radial kernel of a tensor elliptical law.
 
-    The scale is factored here by :func:`~tensorstat.linalg.kronecker_cholesky`
-    into lower factors ``L_k`` whose Kronecker product is the Cholesky factor
-    of the matricization: one per stored factor of a Kronecker scale, and
-    one for a dense scale, the one-factor case of its symmetric matricization.
+    The scale's symmetric factors in mode order are taken once, here: a
+    Kronecker scale's stored ones, or a dense scale's matricization checked
+    by :func:`~tensorstat.linalg.symmetry`.  They are factored by
+    :func:`~tensorstat.linalg.kronecker_cholesky` into lower factors ``L_k``
+    whose Kronecker product is the Cholesky factor of the matricization.
     The log-determinant is ``sum_k (nstar / n_k) 2 sum log diag L_k``, and
     draws and quadratic forms apply the factors one mode at a time to
-    ``(N, nstar)`` row blocks of vectorized tensors (:meth:`_along_modes`),
-    so a Kronecker scale never forms the ``nstar x nstar`` matricization.
-    That matrix (:attr:`scale_matrix`, seen as :attr:`scale_tensor`; the
-    vec-space oracle reads it) and its Cholesky factor :attr:`chol`, the
-    Kronecker product of the per-mode lower factors, are built on first use
-    and cached.  The :attr:`log_normalizer` already includes the
-    determinant factor of the scale, so the kernel's ``log_g`` sees only
-    the quadratic form.  Instances are frozen: no attribute, cached or
-    not, can be assigned after construction.
+    ``(N, nstar)`` row blocks of vectorized tensors (``tensor_core``'s mode
+    product), so a Kronecker scale never forms the ``nstar x nstar``
+    matricization.  That matrix (:attr:`scale_matrix`, seen as
+    :attr:`scale_tensor`; the vec-space oracle reads it) and its Cholesky
+    factor :attr:`chol` are built on first use and cached.  The
+    :attr:`log_normalizer` already includes the determinant factor of the
+    scale, so the kernel's ``log_g`` sees only the quadratic form.
+    Instances are frozen: no attribute, cached or not, can be assigned.
     """
 
     location: DenseTensor
     scale: ScaleSpec
     kernel: RadialKernel
     log_det: float = field(init=False)
+    _factors: tuple[np.ndarray, ...] = field(init=False)
     _lowers: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -292,19 +280,21 @@ class EllipticalParams:
             raise TypeError(f"location must be a DenseTensor, got {type(self.location).__name__}")
         if not isinstance(self.kernel, RadialKernel):
             raise TypeError(f"kernel must be a RadialKernel, got {type(self.kernel).__name__}")
-        if isinstance(self.scale, KroneckerFactors):
-            shape = self.scale.shape
-        elif isinstance(self.scale, SquareTensor):
-            shape = self.scale.row_shape
-        else:
+        kron = isinstance(self.scale, KroneckerFactors)
+        if not kron and not isinstance(self.scale, SquareTensor):
             raise TypeError(
                 f"scale must be a SquareTensor or KroneckerFactors, got {type(self.scale).__name__}"
             )
+        shape = self.scale.shape if kron else self.scale.row_shape
         if shape != self.shape:
             raise ShapeError(f"scale shape {shape} does not match location shape {self.shape}")
-        lowers = kronecker_cholesky(self._factors())
-        for low in lowers:
-            low.flags.writeable = False
+        factors = (
+            self.scale.factors if kron else (symmetry(matricize(self.scale), "matricization")[0],)
+        )
+        lowers = kronecker_cholesky(factors)
+        for m in factors + lowers:
+            m.flags.writeable = False
+        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_lowers", lowers)
         object.__setattr__(self, "log_det", sum(
             (self.nstar // low.shape[0]) * 2.0 * float(np.sum(np.log(np.diag(low))))
@@ -324,17 +314,12 @@ class EllipticalParams:
         """Log of the density's constant factor, determinant included."""
         return _log_normalizer(self, self.kernel)
 
-    def _factors(self) -> tuple[np.ndarray, ...]:
-        """Symmetric factors in mode order: a dense scale's one is its symmetric matricization."""
-        if isinstance(self.scale, KroneckerFactors):
-            return self.scale.factors
-        return (symmetry(matricize(self.scale), "matricization")[0],)
-
     @functools.cached_property
     def scale_matrix(self) -> np.ndarray:
         """Effective (symmetric) matricization of the scale, built on first use."""
-        kron = isinstance(self.scale, KroneckerFactors)
-        m = kronecker_assemble(self.scale) if kron else self._factors()[0]
+        if not isinstance(self.scale, KroneckerFactors):
+            return self._factors[0]
+        m = kronecker_assemble(self.scale)
         m.flags.writeable = False
         return m
 
@@ -350,21 +335,6 @@ class EllipticalParams:
         """Dense square-tensor view of the effective scale."""
         return unmatricize(self.scale_matrix, self.shape)
 
-    def _along_modes(self, op, rows: np.ndarray) -> np.ndarray:
-        # Apply ``op(L_k, .)`` along mode k of the (N, nstar) vec-order
-        # ``rows``, each seen C-order with its modes reversed; ``op`` gets
-        # the mode-k fibres as rows.  L is the Kronecker product of the
-        # factors, so _times_lower gives rows of L x, _solve_lower of L^-1 x.
-        # Only ``z`` holds the block, so each mode frees the one before.
-        sizes = tuple(low.shape[0] for low in reversed(self._lowers))
-        z = rows.reshape(rows.shape[:1] + sizes)
-        for axis, low in zip(range(len(sizes), 0, -1), self._lowers):
-            z = np.moveaxis(z, axis, -1)
-            shape = z.shape
-            z = z.reshape(-1, low.shape[0])
-            z = np.moveaxis(op(low, z).reshape(shape), -1, axis)
-        return z.reshape(rows.shape)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape}, kernel={self.kernel.name!r})"
 
@@ -377,6 +347,8 @@ class TensorNormalParams(EllipticalParams):
         super().__init__(location, scale, NormalKernel())
 
 
+# The operators _mode_product applies along each mode with the lower
+# factors, whose Kronecker product is L: rows of L x, and of L^-1 x.
 def _times_lower(low: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ low.T
 
@@ -430,7 +402,7 @@ def _log_densities(p: EllipticalParams, kernel: RadialKernel, rows: np.ndarray) 
     # Every row is finite, so a NaN q means the deviation overflowed: q is
     # then +inf, where both kernels' log g is -inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.ascontiguousarray(p._along_modes(_solve_lower, rows - vec(p.location)))
+        z = np.ascontiguousarray(_mode_product(rows - vec(p.location), p._lowers, _solve_lower))
         q = np.vecdot(z, z)
     q[np.isnan(q)] = np.inf
     return _log_normalizer(p, kernel) + kernel.log_g(q, p.nstar)
@@ -502,7 +474,7 @@ def _sample(p: EllipticalParams, kernel: RadialKernel, seed: RngSeed, count: int
             f"{kernel!r} drew a non-finite standardized value at nstar={p.nstar}; "
             "its radial variable overflows float64"
         )
-    rows = p._along_modes(_times_lower, w)
+    rows = _mode_product(w, p._lowers, _times_lower)
     rows += vec(p.location)
     return SampleSet._wrap(rows, p.shape)
 

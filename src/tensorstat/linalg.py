@@ -10,14 +10,13 @@ dense matricization of a structured scale tensor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DefinitenessError, ShapeError, SingularTensorError, SymmetryError
-from .tensor_core import Shape, SquareTensor, _require_finite, matricize, unmatricize
+from .tensor_core import Shape, SquareTensor, _kron, _require_finite, matricize, unmatricize
 
 __all__ = [
     "CholeskyFactor",
@@ -163,7 +162,8 @@ def symmetry(m: np.ndarray, what: str | None = None, tol: float = SYMMETRY_TOL):
     ``m`` is symmetric when ``residual = max |m - m.T|`` is at most ``bound
     = tol * max |m|``, and PSD when no eigenvalue of ``part`` is below
     ``-bound``: units move neither verdict.  ``part`` is ``m`` itself when
-    exactly symmetric (no copy, nothing to overflow), else ``(m + m.T) / 2``.
+    exactly symmetric (no copy), else ``m / 2 + m.T / 2``, halved before the
+    sum so that it cannot overflow where ``m`` does not.
     With ``what``, raises :class:`SymmetryError` naming it unless symmetric.
     """
     residual, magnitude = float(np.abs(m - m.T).max()), float(np.abs(m).max())
@@ -172,7 +172,7 @@ def symmetry(m: np.ndarray, what: str | None = None, tol: float = SYMMETRY_TOL):
             f"{what} is not symmetric: max |m - m.T| = {residual:.3e} exceeds "
             f"tolerance {tol:g} relative to max |m| = {magnitude:.3e}"
         )
-    return (m if residual == 0.0 else 0.5 * (m + m.T)), residual, tol * magnitude
+    return (m if residual == 0.0 else 0.5 * m + 0.5 * m.T), residual, tol * magnitude
 
 
 def _square_diagnostics(m: np.ndarray) -> tuple[float, float, bool, bool]:
@@ -241,27 +241,13 @@ class KroneckerFactors:
         return Shape(tuple(f.shape[0] for f in self.factors))
 
 
-def _kron_stack(stacks) -> np.ndarray:
-    # Kronecker products, element by element, of (B, r_k, c_k) stacks in
-    # mode order; entry (i r_b + k, j c_b + l) of kron(a, b) is a[i, j] b[k, l].
-    def kron(a, b):
-        rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
-        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), rows, cols)
-
-    return functools.reduce(kron, reversed(stacks))
-
-
-def _kron(mats) -> np.ndarray:
-    return _kron_stack([m[None] for m in mats])[0]
-
-
 def kronecker_assemble(f: KroneckerFactors) -> np.ndarray:
     """Dense ``nstar x nstar`` matricization of the structured scale.
 
-    The mode-1 index varies fastest in the shared column-major convention,
-    so the factors multiply in reverse storage order; the result applies
-    factor ``i`` along mode ``i`` of any vectorized tensor.  The ordering
-    is pinned by a mode-scaling unit test rather than left as convention.
+    ``tensor_core`` takes the factors' Kronecker product in the order the
+    column-major convention fixes (mode-1 index fastest), so the result
+    applies factor ``i`` along mode ``i`` of any vectorized tensor.  The
+    ordering is pinned by a mode-scaling unit test, not left as convention.
     """
     return _kron(f.factors)
 

@@ -37,9 +37,11 @@ from .tensor_core import (
     ShapeLike,
     SquareTensor,
     _matricize_stack,
+    _multi_index,
     _pair,
     _reshape_each,
     _row_blocks,
+    _transpose2d_stack,
     as_shape,
     matricize,
     unmatricize,
@@ -270,9 +272,7 @@ def _cross_covariances(
         kyx = kxy if same else np.matmul(dy.transpose(0, 2, 1), dx)
         kxy = kxy.reshape((g,) + shape_x.dims + shape_y.dims)
         kyx = kyx.reshape((g,) + shape_y.dims + shape_x.dims)
-        order_y = shape_y.order
-        swap = (0,) + tuple(range(order_y + 1, kyx.ndim)) + tuple(range(1, order_y + 1))
-        acc = np.add(kxy, np.transpose(kyx, swap), order="F")
+        acc = np.add(kxy, _transpose2d_stack(kyx, shape_y.order), order="F")
         acc *= 0.5
         acc /= denom
     if not np.isfinite(acc).all():
@@ -362,8 +362,7 @@ def _degenerate_cells(sd: np.ndarray, shape: Shape, on_degenerate: str, prefix: 
     # "error" names the first instead.
     degenerate = sd <= 0.0
     if degenerate.any() and on_degenerate == "error":
-        k = int(np.flatnonzero(degenerate)[0]) % shape.nstar
-        cell = tuple(int(i) for i in np.unravel_index(k, shape.dims, order="F"))
+        cell = _multi_index(int(np.flatnonzero(degenerate)[0]) % shape.nstar, shape)
         raise DegenerateVarianceError(f"{prefix}cell {cell} has zero sample variance", index=cell)
     return degenerate
 

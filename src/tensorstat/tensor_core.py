@@ -10,9 +10,10 @@ column-major order.  Determinants, covariance tensors and densities built
 downstream are mutually consistent only because these two maps share the
 convention, so it is fixed here once and never re-derived: in ``_wrap``
 (entries to a tensor), ``_pair`` (results over two tensors' cells),
-``_row_blocks`` (vec rows to multi-index views) and ``_reshape_each``
-(stacks).  The Kronecker operator ``distributions._along_modes`` keeps its
-own reversed view, because its fibre order fixes sample and density bits.
+``_row_blocks`` and ``_multi_index`` (vec rows and positions to cells),
+``_square_row_shape`` (index blocks), ``_reshape_each`` (stacks), and
+``_mode_product`` and ``_kron_stack`` (per-mode factors applied to vec rows,
+and assembled; kept apart, so the density and its oracle share no code).
 
 D=1 is fully supported (tensors are vectors, square tensors are matrices),
 which makes the classical matrix and multivariate results special cases of
@@ -49,6 +50,18 @@ __all__ = [
 ShapeLike = Union["Shape", Sequence[int]]
 
 
+def _integer(name: str, value) -> int:
+    # The package's integer rule: operator.index takes Python and numpy
+    # integers and refuses the floats and strings int() would truncate or
+    # parse; bool is an int, so it is refused by name.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Shape:
     """Ordered dimension lengths ``n1 .. nD`` of an order-D tensor.
@@ -61,14 +74,9 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # operator.index takes Python and numpy integers and refuses floats
-        # and strings; bool is an int, so it is refused by name.
         try:
-            dims = tuple(self.dims)
-            if any(isinstance(n, bool) for n in dims):
-                raise TypeError
-            dims = tuple(operator.index(n) for n in dims)
-        except TypeError:
+            dims = tuple(_integer("dims", n) for n in self.dims)
+        except (TypeError, ValueError):
             raise ShapeError(
                 f"dims must be a sequence of integers, got {self.dims!r}"
             ) from None
@@ -295,15 +303,11 @@ class SquareTensor(_Tensor):
     def from_array(cls, array) -> "SquareTensor":
         """Build from an order-2D array whose two index blocks agree."""
         a = np.array(array, dtype=np.float64, order="F", copy=True)
-        if a.ndim % 2 != 0 or a.ndim == 0:
-            raise ShapeError(f"expected an even-order array, got order {a.ndim}")
-        half = a.ndim // 2
-        if a.shape[:half] != a.shape[half:]:
-            raise ShapeError(
-                f"index blocks must share dimension lengths, got {a.shape}"
-            )
+        row_shape = _square_row_shape(a.shape)
+        if row_shape is None:
+            raise ShapeError(f"expected two matching index blocks, got shape {a.shape}")
         _require_finite(a)
-        return cls._wrap(a, Shape(a.shape[:half]))
+        return cls._wrap(a, row_shape)
 
     @classmethod
     def identity(cls, row_shape: ShapeLike) -> "SquareTensor":
@@ -358,6 +362,47 @@ def _row_blocks(rows: np.ndarray, shape: Shape) -> np.ndarray:
     return np.transpose(by_cell, (0, 1) + tuple(range(d + 1, 1, -1)))
 
 
+def _multi_index(k: int, shape: Shape) -> tuple[int, ...]:
+    # The cell at flat vec position k.
+    return tuple(int(i) for i in np.unravel_index(k, shape.dims, order="F"))
+
+
+def _square_row_shape(dims: tuple[int, ...]) -> Shape | None:
+    # Row shape of an order-2D shape whose two index blocks agree, else None.
+    half = len(dims) // 2
+    return Shape(dims[:half]) if dims and dims[:half] == dims[half:] else None
+
+
+def _mode_product(rows: np.ndarray, mats, op) -> np.ndarray:
+    # Apply ``op(m_k, .)`` along mode k of the (N, nstar) vec rows, for the
+    # square ``mats`` in mode order: each row read C-order is the
+    # observation with modes reversed, and ``op`` gets the mode-k fibres as
+    # rows.  Only ``z`` holds the block, so each mode frees the one before.
+    sizes = tuple(m.shape[0] for m in reversed(mats))
+    z = rows.reshape(rows.shape[:1] + sizes)
+    for axis, m in zip(range(len(sizes), 0, -1), mats):
+        z = np.moveaxis(z, axis, -1)
+        shape = z.shape
+        z = z.reshape(-1, m.shape[0])
+        z = np.moveaxis(op(m, z).reshape(shape), -1, axis)
+    return z.reshape(rows.shape)
+
+
+def _kron_stack(stacks) -> np.ndarray:
+    # Kronecker products, element by element, of (B, r_k, c_k) stacks in
+    # mode order, taken in reverse so that the mode-1 index varies fastest;
+    # entry (i r_b + k, j c_b + l) of kron(a, b) is a[i, j] b[k, l].
+    a = stacks[-1]
+    for b in stacks[-2::-1]:
+        rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
+        a = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), rows, cols)
+    return a
+
+
+def _kron(mats) -> np.ndarray:
+    return _kron_stack([m[None] for m in mats])[0]
+
+
 def _matricize_stack(arrays: np.ndarray, row_shape: Shape) -> np.ndarray:
     # (B,) + dims * 2 square tensors -> (B, nstar, nstar) matricizations.
     n = row_shape.nstar
@@ -387,10 +432,10 @@ def unmatricize(matrix, row_shape: ShapeLike) -> SquareTensor:
     return SquareTensor.from_matrix(matrix, row_shape)
 
 
-def _transpose2d_stack(arrays: np.ndarray, row_shape: Shape) -> np.ndarray:
-    # Swap the two index blocks of every element of a (B,) + dims * 2 stack.
-    d = row_shape.order
-    return np.transpose(arrays, (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1)))
+def _transpose2d_stack(arrays: np.ndarray, d: int) -> np.ndarray:
+    # Swap the two index blocks of every element of a (B,) + dims_x + dims_y
+    # stack, dims_x of order d: the result is (B,) + dims_y + dims_x.
+    return np.transpose(arrays, (0,) + tuple(range(d + 1, arrays.ndim)) + tuple(range(1, d + 1)))
 
 
 def transpose2d(x: SquareTensor) -> SquareTensor:
@@ -399,7 +444,7 @@ def transpose2d(x: SquareTensor) -> SquareTensor:
     The matricization of the result is exactly the matrix transpose of the
     matricization of the input.
     """
-    return SquareTensor._wrap(_transpose2d_stack(x._array[None], x.row_shape)[0], x.row_shape)
+    return SquareTensor._wrap(_transpose2d_stack(x._array[None], x.row_shape.order)[0], x.row_shape)
 
 
 def add(x, y):

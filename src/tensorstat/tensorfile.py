@@ -181,11 +181,13 @@ def tensor_from_obj(obj) -> AnyTensor:
         raise FileFormatError(str(e)) from None
 
 
-def _binary_header(dims: tuple[int, ...], count: Optional[int] = None) -> bytes:
-    # Magic, the sample set's u64 count (none for a single tensor), u8
-    # order and u32 dims.
+def _write_binary(path: str, dims: tuple[int, ...], rows, count: Optional[int] = None) -> None:
+    # Either binary layout, the twin of _read_binary: magic, the sample
+    # set's u64 count (none for a single tensor), u8 order, u32 dims, and
+    # the column-major rows as one contiguous <f8 payload.
     counted = b"" if count is None else struct.pack("<Q", count)
-    return MAGIC + counted + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    header = MAGIC + counted + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    _write_bytes(path, header, np.ascontiguousarray(rows, dtype="<f8"))
 
 
 def _unpack(fmt: str, raw: bytes, offset: int) -> tuple[tuple, int]:
@@ -230,9 +232,7 @@ def _read_binary(raw: bytes, counted: bool) -> tuple[np.ndarray, Shape]:
 def write_tensor(path: str, t: AnyTensor, binary: bool = False) -> None:
     """Serialize one tensor; JSON by default, binary on request."""
     if binary:
-        data = np.ascontiguousarray(t.data, dtype="<f8")
-        _write_bytes(path, _binary_header(t.array.shape), data)
-        return
+        return _write_binary(path, t.array.shape, t.data)
     _write_bytes(path, (json.dumps(tensor_to_obj(t)) + "\n").encode("utf-8"))
 
 
@@ -255,9 +255,7 @@ def write_sample_set(
     """Serialize a sample set; the JSON header records the seed when given."""
     rows = s.to_matrix()
     if binary:
-        header = _binary_header(s.shape.dims, len(s))
-        _write_bytes(path, header, np.ascontiguousarray(rows, dtype="<f8"))
-        return
+        return _write_binary(path, s.shape.dims, rows, len(s))
     dims = list(s.shape.dims)
     header = json.dumps({
         "kind": "samples",

@@ -52,6 +52,8 @@ from .tensor_core import (
     SquareTensor,
     _contract_stack,
     _double_dot_stack,
+    _integer,
+    _kron_stack,
     _matricize_stack,
     _reshape_each,
     _transpose2d_stack,
@@ -270,7 +272,7 @@ def _mat_linearity(shape, n, x, y, alpha):
 
 def _mat_transpose(shape, n, x):
     t = _unmatricize_stack(x, shape)
-    got = _matricize_stack(_transpose2d_stack(t, shape), shape)
+    got = _matricize_stack(_transpose2d_stack(t, shape.order), shape)
     return _worst(np.abs(got - _matricize_stack(t, shape).transpose(0, 2, 1)))
 
 
@@ -305,7 +307,7 @@ def _det_scale(shape, n, g, svals, lam):
 def _det_transpose(shape, n, *draws):
     x = _well_conditioned(*draws)
     ref = linalg._dets(x)
-    transposed = _transpose2d_stack(_unmatricize_stack(x, shape), shape)
+    transposed = _transpose2d_stack(_unmatricize_stack(x, shape), shape.order)
     got = linalg._dets(_matricize_stack(transposed, shape))
     return _rel(np.abs(got - ref), ref)
 
@@ -346,7 +348,7 @@ def _kron_mode_scaling(shape, n, a):
 
 def _kron_quadratic_form(shape, n, *stacks):
     *factors, a = stacks
-    assembled = linalg._kron_stack(factors)
+    assembled = _kron_stack(factors)
     ref = _quadratic(_reshape_each(a, (shape.nstar,)), assembled)
     got = _double_dot_stack(a, _unmatricize_stack(assembled, shape), a)
     return _rel(np.abs(got - ref), ref)
@@ -628,6 +630,7 @@ def run_verification(
     deviation above its tolerance, so the failure reporting path can be
     exercised; leave it ``None`` in real runs.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if corrupt is not None and corrupt not in CHECK_NAMES:

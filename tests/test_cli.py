@@ -761,6 +761,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--shape", "2xx", "--n", "10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["1_6x1_6", " 2x2", "+2x2", "2 x2", "2x2 ", "2x2\n", "\u0662x2", "2X2", "x2", ""]
+    )
+    def test_shape_spec_takes_ascii_digits_joined_by_x_only(self, capsys, spec):
+        # --n 1 is refused only after the shape parses, so no verify runs.
+        code, out, err = run(capsys, "verify", "--shape", spec, "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid shape spec {spec!r}; expected the form 2x2 or 3x2x2\n"
+
     def test_corrupted_det_product_exits_1_and_names_check(self, capsys):
         code, out, _ = run(
             capsys,

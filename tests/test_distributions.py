@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, multivariate_t
 
+from tensorstat import distributions, linalg
 from tensorstat.distributions import (
     EllipticalParams,
     NormalKernel,
@@ -247,6 +248,25 @@ class TestParams:
             tracemalloc.stop()
         assert peak <= 1.1 * m.nbytes
         np.testing.assert_array_equal(m, m.T)
+
+    def test_dense_scale_is_checked_for_symmetry_once(self, monkeypatch):
+        # The factors are taken at construction; scale_matrix reads them.
+        calls = []
+        exact = linalg.symmetry
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return exact(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "symmetry", counted)
+        monkeypatch.setattr(distributions, "symmetry", counted)
+        m = np.array(matricize(random_spd(np.random.default_rng(62), (2, 3))))
+        m[0, 1] += 1e-15
+        p = TensorNormalParams(DenseTensor.zeros((2, 3)), SquareTensor.from_matrix(m, (2, 3)))
+        sym = p.scale_matrix
+        assert calls == [(6, 6)]
+        np.testing.assert_array_equal(sym, exact(m)[0])
+        assert sym is p.scale_matrix and not sym.flags.writeable
 
     def test_cached_log_det(self):
         rng = np.random.default_rng(61)

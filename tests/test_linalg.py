@@ -14,7 +14,6 @@ from tensorstat.linalg import (
     KroneckerFactors,
     _first_nonpositive_pivot,
     _inverse_and_rcond,
-    _kron,
     cholesky,
     det,
     inverse,
@@ -28,6 +27,7 @@ from tensorstat.tensor_core import (
     DenseTensor,
     Shape,
     SquareTensor,
+    _kron,
     contract_product,
     double_dot_quadratic,
     matricize,

@@ -29,7 +29,7 @@ from tensorstat.distributions import (
     normal_sample,
 )
 from tensorstat.errors import DefinitenessError, SymmetryError
-from tensorstat.linalg import KroneckerFactors
+from tensorstat.linalg import KroneckerFactors, symmetry
 from tensorstat.stats import CovTensor, SampleSet, covariance, covariance_of_vec
 from tensorstat.tensor_core import DenseTensor, Shape, SquareTensor, matricize, vec
 
@@ -68,6 +68,23 @@ def test_largest_exactly_symmetric_scale_is_used_as_is():
     x = DenseTensor([1.0, 1.0], Shape((2,)))
     for scale in (SquareTensor.from_matrix(m, Shape((2,))), KroneckerFactors((m,))):
         assert elliptical_log_density(law(scale, (2,)), x) == -711.1456574842324
+
+
+def test_largest_rounding_asymmetric_scale_is_symmetrized_without_overflow():
+    # m + m.T overflows here; the symmetric part halves each term first.
+    m = np.array([[1.5, 0.5], [0.5 * (1 + 2.0**-52), 1.0]]) * 1e308
+    assert m[0, 1] != m[1, 0]
+    x = DenseTensor([1.0, 1.0], Shape((2,)))
+    for scale in (SquareTensor.from_matrix(m, Shape((2,))), KroneckerFactors((m,))):
+        assert elliptical_log_density(law(scale, (2,)), x) == -711.1456574842324
+
+
+def test_symmetric_part_keeps_the_bits_of_the_halved_sum():
+    # Halving each term first moves no bit where neither form over- or underflows.
+    for exponent in range(-300, 301, 25):
+        for seed in range(20):
+            m = rounded_spd(seed=seed) * 10.0**exponent
+            np.testing.assert_array_equal(symmetry(m)[0], 0.5 * (m + m.T))
 
 
 def test_exactly_symmetric_factor_is_stored_as_a_copy():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from tensorstat import distributions, linalg, verify
 from tensorstat.distributions import (
-    EllipticalParams,
     NormalKernel,
     TensorNormalParams,
     normal_log_density_batch,
@@ -23,6 +23,21 @@ def test_perturbed_determinant_fails_det_product(monkeypatch):
     monkeypatch.setattr(linalg, "_dets", lambda m: exact(m) + 1e-3)
     report = verify.run_verification(Shape((2, 2)), n=2000, seed=1729)
     assert "det-product" in report.failed_names
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+def test_non_integer_n_is_refused_before_any_check_runs(monkeypatch, n):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_run_check", no_check)
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+        verify.run_verification(Shape((2, 2)), n=n)
+
+
+def test_numpy_integer_n_is_a_plain_int():
+    report = verify.run_verification(Shape((1,)), n=np.int64(2), seed=1)
+    assert type(report.n) is int and report.lines()[0] == "shape=1 n=2 seed=1"
 
 
 def test_nan_determinant_fails_every_det_check(monkeypatch):
@@ -303,9 +318,9 @@ def test_elliptical_normal_consistency_compares_two_computations():
 
 def test_perturbed_whitening_fails_elliptical_normal_consistency(monkeypatch):
     # A whitening off by one part in a million must show.
-    exact = EllipticalParams._along_modes
+    exact = distributions._mode_product
     monkeypatch.setattr(
-        EllipticalParams, "_along_modes", lambda p, op, rows: exact(p, op, rows) * (1 + 1e-6)
+        distributions, "_mode_product", lambda rows, mats, op: exact(rows, mats, op) * (1 + 1e-6)
     )
     deviation, tolerance = elliptical_normal_consistency()
     assert deviation > tolerance
